@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import PolyzetaError
 from .hopf import check_antipode, check_bialgebra, antipode as hopf_antipode
-from .numeric import EvalConfig, eval_di, verify_relation, worker_count
+from .numeric import EvalConfig, eval_di, verify_relation
 from .products import PRODUCTS, star
 from .serialize import (ParseError, eval_result_to_json, letter_from_json,
                         lincomb_to_json, params_from_json, params_to_json,
@@ -207,8 +207,7 @@ def _run(args: argparse.Namespace) -> int:
         eval_tol = min(1e-10, args.tol / 100) if args.tol is not None else None
         cfg = _make_config(args.nmax, eval_tol)
         rep = verify_relation((left, right), lc, cfg,
-                              residual_tolerance=args.tol,
-                              max_workers=worker_count())
+                              residual_tolerance=args.tol)
         pretty = (f"lhs = {rep.lhs_value:.12g}  rhs = {rep.rhs_value:.12g}  "
                   f"residual = {rep.residual:.3g} (tolerance {rep.tolerance:.3g})"
                   f"  -> {'ok' if rep.ok else 'FAILED'}")

@@ -1,10 +1,12 @@
 """Deconcatenation coproduct, counit, antipode and checkable Hopf axioms.
 
 The coproduct splits a word into all prefix/suffix pairs; together with any
-product from the bracket family this yields a bialgebra, and the signed
-composition sum below provides the antipode. ``check_bialgebra`` and
-``check_antipode`` verify the defining identities exhaustively over a
-finite sample alphabet and report the first counterexample found.
+product from the bracket family this yields a bialgebra, and Hoffman's
+closed formula over compositions of the reversed word provides the
+antipode (the recursion forced by the convolution axiom is kept as a
+second, independent route). ``check_bialgebra`` and ``check_antipode``
+verify the defining identities exhaustively over a finite sample alphabet
+and report the first counterexample found.
 """
 
 from __future__ import annotations
@@ -12,78 +14,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .products import Bracket, _star_raw, _star_words
-from .words import (EMPTY_WORD, Letter, MonoidLetter, PairLetter,
-                    Polynomial, Word, x, y)
+from .products import Bracket, _star_words, star
+from .words import (EMPTY_WORD, Combination, Letter, MonoidLetter,
+                    PairLetter, Polynomial, Word, x, y)
 
 
-class TensorPolynomial:
+class TensorPolynomial(Combination):
     """Finite combination of word pairs u (x) v, in canonical form.
 
     The bracket product acts componentwise:
     ``(u (x) v) * (u' (x) v') = (u * u') (x) (v * v')``.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, c in items:
-                if c == 0:
-                    continue
-                prev = data.get(key)
-                if prev is None:
-                    data[key] = c
-                else:
-                    prev = prev + c
-                    if prev == 0:
-                        del data[key]
-                    else:
-                        data[key] = prev
-        self.terms = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "TensorPolynomial":
-        t = object.__new__(cls)
-        t.terms = data
-        return t
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TensorPolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        data = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = data.get(key)
-            if prev is None:
-                data[key] = c
-            else:
-                prev = prev + c
-                if prev == 0:
-                    del data[key]
-                else:
-                    data[key] = prev
-        return TensorPolynomial._raw(data)
-
-    def __rmul__(self, scalar) -> "TensorPolynomial":
-        if scalar == 0:
-            return TensorPolynomial._raw({})
-        return TensorPolynomial._raw(
-            {key: scalar * c for key, c in self.terms.items()})
-
-    __mul__ = __rmul__
+    __slots__ = ()
 
     def star(self, br: Bracket, other: "TensorPolynomial") -> "TensorPolynomial":
         """Componentwise bracket product of tensors."""
@@ -107,27 +52,13 @@ class TensorPolynomial:
         return TensorPolynomial._raw(
             {(u.prepended(letter), v): c for (u, v), c in self.terms.items()})
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-
-    def __repr__(self) -> str:
-        return "TensorPolynomial(%r)" % (self.terms,)
-
 
 def coproduct(w: Union[Word, Polynomial]) -> TensorPolynomial:
     """Sum of all deconcatenation splittings u (x) v with uv = w,
     extended linearly to polynomials."""
-    if isinstance(w, Word):
-        return TensorPolynomial._raw(
-            {(w[:i], w[i:]): 1 for i in range(len(w) + 1)})
-    out: dict = {}
-    for wd, c in w.terms.items():
-        for i in range(len(wd) + 1):
-            key = (wd[:i], wd[i:])
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return TensorPolynomial._raw({k: c for k, c in out.items() if c != 0})
+    terms = w.terms.items() if isinstance(w, Polynomial) else ((w, 1),)
+    return TensorPolynomial(((wd[:i], wd[i:]), c)
+                            for wd, c in terms for i in range(len(wd) + 1))
 
 
 def counit(s: Union[Word, Polynomial]):
@@ -161,37 +92,43 @@ def compositions(n: int) -> list[tuple[int, ...]]:
 
 
 def antipode(br: Bracket, w: Word) -> Polynomial:
-    """Antipode as the signed composition sum
+    """Antipode by Hoffman's closed formula (Hoffman, "Quasi-shuffle
+    products", J. Algebraic Combin. 11, 2000):
 
-        a(x1...xn) = sum over (i1,...,ik) of (-1)^k  block1 * ... * blockk
+        S(x1...xn) = (-1)^n  sum over compositions I of n of  I[xn...x1]
 
-    where the blocks cut the word into consecutive chunks of sizes
-    i1,...,ik, multiplied with the bracket product; a(1) = 1.
+    where I[.] cuts the reversed word into consecutive blocks of the sizes
+    in I and contracts each block to one scaled letter through the bracket
+    (a block containing a zero bracket contributes nothing); S(1) = 1.
+    Grouping the compositions by their first block gives
+
+        S(x1...xn) = sum over 0 < j <= n of
+                     (-1)^j [xn ... x(n-j+1)] S(x1...x(n-j)),
+
+    so the antipodes of the prefixes of w are built shortest first, each
+    once, from contractions and concatenations alone.
     """
-    memo = br._antipode_memo
+    memo = br._memo(br._antipode_memo, w)
     hit = memo.get(w)
     if hit is not None:
         return hit
-    n = len(w)
-    if n == 0:
-        res = Polynomial.one()
-    else:
-        acc: dict = {}
-        for comp in compositions(n):
-            cur: dict = None
-            pos = 0
-            for size in comp:
-                block = w[pos:pos + size]
-                pos += size
-                cur = {block: 1} if cur is None else _star_raw(br, cur, {block: 1})
-            sign = -1 if len(comp) % 2 else 1
-            for wd, c in cur.items():
-                c = sign * c
-                prev = acc.get(wd)
-                acc[wd] = c if prev is None else prev + c
-        res = Polynomial._raw({wd: c for wd, c in acc.items() if c != 0})
-    memo[w] = res
-    return res
+    letters = w.letters
+    prefixes = [Polynomial.one()]
+    for m in range(1, len(letters) + 1):
+        prefix = w[:m]
+        res = memo.get(prefix)
+        if res is None:
+            res = Polynomial.zero()
+            coeff, head = -1, letters[m - 1]
+            for j in range(1, m + 1):
+                res += prefixes[m - j].prepended(head, coeff)
+                pair = br.apply(head, letters[m - 1 - j]) if j < m else None
+                if pair is None:
+                    break
+                coeff, head = -coeff * pair[0], pair[1]
+            memo[prefix] = res
+        prefixes.append(res)
+    return prefixes[-1]
 
 
 def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
@@ -202,23 +139,14 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
         a(w) = -w - sum over 0 < k < n of a(x1...xk) * x(k+1)...xn
 
     with a(1) = 1 (and so a(letter) = -letter)."""
-    memo = br._antipode_rec_memo
+    memo = br._memo(br._antipode_rec_memo, w)
     hit = memo.get(w)
     if hit is not None:
         return hit
     n = len(w)
-    if n == 0:
-        res = Polynomial.one()
-    else:
-        acc = {w: -1}
-        for k in range(1, n):
-            part = _star_raw(br, antipode_recursive(br, w[:k]).terms,
-                             {w[k:]: 1})
-            for wd, c in part.items():
-                prev = acc.get(wd)
-                c = -c
-                acc[wd] = c if prev is None else prev + c
-        res = Polynomial._raw({wd: c for wd, c in acc.items() if c != 0})
+    res = Polynomial.one() if n == 0 else Polynomial.monomial(w, -1)
+    for k in range(1, n):
+        res -= star(br, antipode_recursive(br, w[:k]), w[k:])
     memo[w] = res
     return res
 
@@ -308,10 +236,8 @@ def check_antipode(br: Bracket, maxlen: int,
             right = Polynomial.zero()
             for i in range(n + 1):
                 u, v = w[:i], w[i:]
-                left += Polynomial._raw(
-                    _star_raw(br, antipode(br, u).terms, {v: 1}))
-                right += Polynomial._raw(
-                    _star_raw(br, {u: 1}, antipode(br, v).terms))
+                left += star(br, antipode(br, u), v)
+                right += star(br, u, antipode(br, v))
             checked += 1
             if left != expect:
                 return CheckReport("antipode-left", False, checked, {"word": w})

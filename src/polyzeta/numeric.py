@@ -20,7 +20,7 @@ quantity can overflow even when individual color ratios exceed 1.
 from __future__ import annotations
 
 import math
-import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,15 +28,17 @@ from .errors import DivergenceError
 from .scalars import color_abs, to_complex
 from .zeta import LinComb, PolyzetaParams, duffle_index
 
+_EPS = sys.float_info.epsilon
+
 
 @dataclass(frozen=True, slots=True)
 class EvalConfig:
-    """Knobs for the doubling evaluator."""
+    """Knobs for the doubling evaluator; ``n_start == n_max`` sums to one
+    fixed cutoff."""
 
     tolerance: float = 1e-10
     n_start: int = 2**10
     n_max: int = 2**22
-    doubling: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -52,9 +54,10 @@ class EvalResult:
     """Value of a truncated nested sum with an honest error account.
 
     ``value`` is the partial sum below ``n_used``; ``error_estimate`` is
-    the last doubling increment plus an analytic tail estimate (an
-    estimate, not a certified bound). ``converged`` holds exactly when
-    the estimate is within tolerance.
+    the last doubling increment plus an analytic tail estimate, including
+    float rounding where the colors do not damp the sum (an estimate, not
+    a certified bound). ``converged`` holds exactly when the estimate is
+    within tolerance.
     """
 
     value: complex
@@ -156,7 +159,8 @@ class _SeriesEngine:
     factors have modulus <= 1 under the convergence hypothesis.
     """
 
-    __slots__ = ("c", "s", "t", "r", "acc", "cpow", "total", "columns", "last")
+    __slots__ = ("c", "s", "t", "r", "acc", "cpow", "total", "columns", "last",
+                 "mass")
 
     def __init__(self, p: PolyzetaParams):
         self.c = [to_complex(v) for v in p.cumulative_colors()]
@@ -168,6 +172,7 @@ class _SeriesEngine:
         self.total = _Kahan()
         self.columns = 0
         self.last = 0j
+        self.mass = 0.0  # sum of |column|, the scale of the rounding error
 
     def run_until(self, cutoff: int) -> None:
         """Advance so that ``total`` equals the partial sum below ``cutoff``."""
@@ -177,25 +182,33 @@ class _SeriesEngine:
         c = self.c
         acc = self.acc
         h = [0j] * r
+        cpow, mass, add = self.cpow, self.mass, self.total.add
         for k in range(self.columns + 1, cutoff):
-            self.cpow *= c[r - 1]
-            h[r - 1] = self.cpow / (k - t[r - 1]) ** s[r - 1]
+            cpow *= c[r - 1]
+            h[r - 1] = cpow / (k - t[r - 1]) ** s[r - 1]
             for i in range(r - 2, -1, -1):
                 h[i] = acc[i].value / (k - t[i]) ** s[i]
-            self.total.add(h[0])
+            add(h[0])
+            mass += abs(h[0])
             for i in range(r - 1):
                 a = acc[i]
                 a.add(h[i + 1])
                 a.scale(c[i])
+        if cutoff - 1 > self.columns:
             self.last = h[0]
         self.columns = cutoff - 1
+        self.cpow, self.mass = cpow, mass
 
 
 def _tail_estimate(p: PolyzetaParams, engine: _SeriesEngine, cutoff: int) -> float:
     """Analytic tail estimate past the cutoff.
 
-    Geometric when every cumulative color has modulus < 1; the polynomial
-    regime uses cutoff^(1-s1) (1+ln cutoff)^(r-1) / (s1-1). The leftover
+    Geometric when every cumulative color has modulus < 1. The polynomial
+    regime bounds the depth-1 tail sum over k >= cutoff of (k - t1)^(-s1)
+    by its integral from cutoff - 1, (cutoff - 1 - t1)^(1-s1) / (s1-1),
+    widens it by (1+ln cutoff)^(r-1) for the inner levels, and adds the
+    float rounding of the partial sum: a few ulps per level and per unit
+    of exponent, relative to the summed column magnitudes. The leftover
     corner (s1 = 1 with a unit-modulus inner prefix product) falls back to
     the magnitude of the last column, surfaced as an estimate only.
     """
@@ -206,8 +219,9 @@ def _tail_estimate(p: PolyzetaParams, engine: _SeriesEngine, cutoff: int) -> flo
         return abs(engine.last) * qf / (1.0 - qf)
     s1 = p.s[0]
     if s1 > 1:
-        return (cutoff ** (1 - s1) * (1.0 + math.log(cutoff)) ** (p.depth - 1)
-                / (s1 - 1))
+        tail = ((cutoff - 1 - float(p.t[0])) ** (1 - s1)
+                * (1.0 + math.log(cutoff)) ** (p.depth - 1) / (s1 - 1))
+        return tail + (p.weight + 2 * p.depth) * _EPS * engine.mass
     return abs(engine.last)
 
 
@@ -228,12 +242,6 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         return EvalResult(1 + 0j, 0.0, 0, True)
 
     engine = _SeriesEngine(p)
-    if not cfg.doubling:
-        engine.run_until(cfg.n_max)
-        value = engine.total.value
-        err = _tail_estimate(p, engine, cfg.n_max) + abs(engine.last)
-        return EvalResult(value, err, cfg.n_max, err <= cfg.tolerance)
-
     cutoff = cfg.n_start
     engine.run_until(cutoff)
     value = engine.total.value
@@ -261,27 +269,17 @@ class VerifyReport:
     converged: bool
 
 
-def worker_count() -> int:
-    """Parallelism cap from the POLYZETA_THREADS environment variable."""
-    raw = os.environ.get("POLYZETA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
                     rhs: LinComb,
                     cfg: EvalConfig = EvalConfig(),
-                    residual_tolerance: Optional[float] = None,
-                    max_workers: Optional[int] = None) -> VerifyReport:
+                    residual_tolerance: Optional[float] = None) -> VerifyReport:
     """Check that eval(p) * eval(q) matches the coefficient-weighted sum of
     term evaluations.
 
     Without an explicit ``residual_tolerance``, the acceptance threshold
     is the propagated error budget of the evaluations plus ``cfg.tolerance``.
-    Terms are summed in sorted order, so the result is deterministic under
-    any degree of parallelism. A divergent term raises, naming the term.
+    Terms are summed in sorted order. A divergent term raises, naming the
+    term.
     """
     p, q = lhs
     jobs: list[PolyzetaParams] = [p, q] + [term for term, _ in rhs.sorted_terms()]
@@ -289,14 +287,7 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
         if not (params.satisfies_condition_e() and params.is_convergent()):
             raise DivergenceError(f"divergent term {params.pretty()}")
 
-    if max_workers is None:
-        max_workers = worker_count()
-    if max_workers > 1 and len(jobs) > 2:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda pp: eval_di(pp, cfg), jobs))
-    else:
-        results = [eval_di(pp, cfg) for pp in jobs]
+    results = [eval_di(pp, cfg) for pp in jobs]
 
     rp, rq = results[0], results[1]
     lhs_value = rp.value * rq.value

@@ -8,8 +8,9 @@ letter)`` pair for a contraction; the recursion is
     au * bv  =  a (u * bv)  +  b (au * v)  +  [a, b] (u * v)
 
 extended bilinearly, with the empty word as unit. Expansions are memoized
-on word pairs per bracket; entries are write-once, so a shared bracket is
-safe to use from several threads.
+on word pairs per bracket; queries on words carrying float or complex
+scalars get tables of their own, so a memo hit never changes whether the
+scalars of a result are exact.
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ import operator
 from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
-from .words import Indexed, Letter, MonoidLetter, PairLetter, Polynomial, Word
+from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
+                    Word, _field_types)
 
 BracketResult = Optional[tuple[object, Letter]]
+
+
+# Marks the keys under which a memo table keeps one sub-table per
+# signature of letter field types, for queries on inexact words.
+_TYPED = object()
 
 
 class Bracket:
@@ -49,13 +56,31 @@ class Bracket:
                 f"bracket {self.name!r} is undefined on {a.kind!r} letters")
         return self.fn(a, b)
 
+    def _memo(self, table: dict, *words: Word) -> dict:
+        """The memo table for a query on ``words``: ``table`` itself when
+        every scalar the words carry is exact, else a sub-table private to
+        the types of their letters' fields. Letters carrying 0.5 and
+        Fraction(1, 2) are equal and hash alike, so one shared table would
+        hand float results to exact queries and the reverse."""
+        for w in words:
+            if not w.exact:
+                types = tuple(map(_field_types, words))
+                return table.setdefault((_TYPED, types), {})
+        return table
+
     def __repr__(self) -> str:
         return f"Bracket({self.name!r})"
 
 
 def _star_words(br: Bracket, u: Word, v: Word) -> dict:
     """Raw expansion of u * v as a word -> coefficient dict (memoized)."""
-    memo = br._star_memo
+    memo = (br._star_memo if u.exact and v.exact
+            else br._memo(br._star_memo, u, v))
+    hit = memo.get((u, v))
+    return hit if hit is not None else _expand(memo, br, u, v)
+
+
+def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     key = (u, v)
     hit = memo.get(key)
     if hit is not None:
@@ -67,19 +92,16 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
     else:
         a, b = u.letters[0], v.letters[0]
         acc: dict = {}
-        for rest, head, factor in (
-            (_star_words(br, u[1:], v), a, 1),
-            (_star_words(br, u, v[1:]), b, 1),
-        ):
+        for rest, head in ((_expand(memo, br, u[1:], v), a),
+                           (_expand(memo, br, u, v[1:]), b)):
             for w, c in rest.items():
                 nw = w.prepended(head)
-                c = factor * c
                 prev = acc.get(nw)
                 acc[nw] = c if prev is None else prev + c
         pair = br.apply(a, b)
         if pair is not None:
             factor, head = pair
-            for w, c in _star_words(br, u[1:], v[1:]).items():
+            for w, c in _expand(memo, br, u[1:], v[1:]).items():
                 nw = w.prepended(head)
                 c = factor * c
                 prev = acc.get(nw)
@@ -89,24 +111,19 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
     return res
 
 
-def _star_raw(br: Bracket, left: dict, right: dict) -> dict:
-    """Bilinear extension on raw term dicts."""
+def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:
+    """The bracket-selected product, extended bilinearly to polynomials."""
+    lt = left.terms if isinstance(left, Polynomial) else {left: 1}
+    rt = right.terms if isinstance(right, Polynomial) else {right: 1}
     out: dict = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
+    for u, cu in lt.items():
+        for v, cv in rt.items():
             cuv = cu * cv
             for w, c in _star_words(br, u, v).items():
                 c = cuv * c
                 prev = out.get(w)
                 out[w] = c if prev is None else prev + c
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:
-    """The bracket-selected product, extended bilinearly to polynomials."""
-    lt = left.terms if isinstance(left, Polynomial) else {left: 1}
-    rt = right.terms if isinstance(right, Polynomial) else {right: 1}
-    return Polynomial._raw(_star_raw(br, lt, rt))
+    return Polynomial._raw({w: c for w, c in out.items() if c != 0})
 
 
 def _zero_bracket(a: Letter, b: Letter) -> BracketResult:

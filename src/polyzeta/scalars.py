@@ -103,10 +103,6 @@ def root_of_unity(k: int, n: int) -> Union[Fraction, ExactColor]:
     return exact_color(1, Fraction(k, n))
 
 
-def is_exact(value: Color) -> bool:
-    return isinstance(value, (int, Fraction, ExactColor))
-
-
 def color_abs(value: Color) -> Real:
     """Modulus; exact (Fraction) for exact colors, float otherwise."""
     return abs(value)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .hopf import CheckReport
 from .numeric import EvalResult, VerifyReport
 from .scalars import ExactColor, exact_color
-from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
-                    Word, X0, XForm)
+from .words import (Combination, Indexed, Letter, MonoidLetter, PairLetter,
+                    Polynomial, Word, X0, XForm)
 from .zeta import LinComb, PolyzetaParams
 
 
@@ -118,16 +118,20 @@ def polynomial_to_json(p: Polynomial) -> list:
             for w, c in p.sorted_terms()]
 
 
-def polynomial_from_json(data) -> Polynomial:
+def _combination_from_json(data, cls, key: str, parse) -> Combination:
+    """A ``cls`` combination from a list of {coeff, key} pairs."""
     if not isinstance(data, list):
-        raise ParseError("a polynomial is a list of {coeff, word} pairs")
+        raise ParseError(f"a combination is a list of {{coeff, {key}}} pairs")
     terms = []
     for item in data:
-        if not isinstance(item, dict) or "word" not in item:
-            raise ParseError(f"bad polynomial term {item!r}")
-        terms.append((word_from_json(item["word"]),
-                      scalar_from_json(item.get("coeff", 1))))
-    return Polynomial(terms)
+        if not isinstance(item, dict) or key not in item:
+            raise ParseError(f"bad combination term {item!r}")
+        terms.append((parse(item[key]), scalar_from_json(item.get("coeff", 1))))
+    return cls(terms)
+
+
+def polynomial_from_json(data) -> Polynomial:
+    return _combination_from_json(data, Polynomial, "word", word_from_json)
 
 
 def params_to_json(p: PolyzetaParams) -> dict:
@@ -156,15 +160,7 @@ def lincomb_to_json(lc: LinComb) -> list:
 
 
 def lincomb_from_json(data) -> LinComb:
-    if not isinstance(data, list):
-        raise ParseError("a combination is a list of {coeff, params} pairs")
-    out = LinComb()
-    for item in data:
-        if not isinstance(item, dict) or "params" not in item:
-            raise ParseError(f"bad combination term {item!r}")
-        out.add_term(params_from_json(item["params"]),
-                     scalar_from_json(item.get("coeff", 1)))
-    return out
+    return _combination_from_json(data, LinComb, "params", params_from_json)
 
 
 def report_to_json(report: CheckReport) -> dict:

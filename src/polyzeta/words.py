@@ -11,9 +11,10 @@ Letters come in four alphabet kinds:
                    difference.
 
 Words are immutable; ``u + v`` concatenates and ``Word()`` is the unit.
-A :class:`Polynomial` is a finite formal combination of words over any
-coefficient ring whose elements support ``+``, ``*`` and ``== 0``
-(int, Fraction and complex all qualify).
+:class:`Combination` is the one canonical formal-combination type (keys
+to coefficients over any ring whose elements support ``+``, ``*`` and
+``== 0``: int, Fraction and complex all qualify); a :class:`Polynomial`
+is a combination of words.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import AlphabetMismatchError
-from .scalars import Color, Real, color_sort_key
+from .scalars import Color, ExactColor, Real, color_sort_key
 
+# Scalar types that keep a letter exact; anything else (float, complex)
+# makes a word inexact.
+_EXACT_TYPES = frozenset((int, Fraction, ExactColor))
 _SUB = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
 _SUP = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -36,6 +40,10 @@ def _subscript(value) -> str:
     return "_{%s}" % text
 
 
+def _value_is_exact(letter) -> bool:
+    return type(letter.value) in _EXACT_TYPES
+
+
 @dataclass(frozen=True, slots=True)
 class Indexed:
     """Letter indexed by a nonnegative integer, e.g. x0, x1 or y3."""
@@ -43,6 +51,7 @@ class Indexed:
     index: int
     family: str = "x"
     kind = "indexed"
+    exact = True
 
     def __post_init__(self):
         if self.index < 0:
@@ -61,6 +70,7 @@ class MonoidLetter:
 
     value: object
     kind = "monoid"
+    exact = property(_value_is_exact)
 
     def pretty(self) -> str:
         return "x" + _subscript(self.value)
@@ -77,6 +87,7 @@ class PairLetter:
     index: int
     value: object
     kind = "pair"
+    exact = property(_value_is_exact)
 
     def __post_init__(self):
         if self.index < 1:
@@ -94,6 +105,7 @@ class X0:
     """The integration-slot letter of the encoding alphabet."""
 
     kind = "encoded"
+    exact = True
 
     def pretty(self) -> str:
         return "x₀"
@@ -120,6 +132,11 @@ class XForm:
         if self.color == 0:
             raise ValueError("cumulative color must be nonzero")
 
+    @property
+    def exact(self) -> bool:
+        return (type(self.color) in _EXACT_TYPES
+                and type(self.tbar) in _EXACT_TYPES)
+
     def pretty(self) -> str:
         return "x_{%s;%s}" % (self.color, self.tbar)
 
@@ -145,9 +162,10 @@ class Word:
 
     Words form the free monoid: ``u + v`` concatenates, ``Word()`` is the
     two-sided unit (compatible with every kind). Slicing returns words.
+    ``exact`` holds when every scalar the letters carry is exact.
     """
 
-    __slots__ = ("letters", "kind", "_hash")
+    __slots__ = ("letters", "kind", "exact", "_hash")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
@@ -160,14 +178,16 @@ class Word:
                     f"word mixes alphabet kinds {kind!r} and {letter.kind!r}")
         self.letters = letters
         self.kind = kind
+        self.exact = all(letter.exact for letter in letters)
         self._hash = hash(letters)
 
     @classmethod
-    def _make(cls, letters: tuple, kind) -> "Word":
+    def _make(cls, letters: tuple, kind, exact: bool) -> "Word":
         # internal fast path: letters already validated
         w = object.__new__(cls)
         w.letters = letters
         w.kind = kind
+        w.exact = exact
         w._hash = hash(letters)
         return w
 
@@ -180,7 +200,8 @@ class Word:
     def __getitem__(self, item):
         if isinstance(item, slice):
             sub = self.letters[item]
-            return Word._make(sub, self.kind if sub else None)
+            return Word._make(sub, self.kind if sub else None, self.exact
+                              or all(letter.exact for letter in sub))
         return self.letters[item]
 
     def __hash__(self) -> int:
@@ -204,7 +225,8 @@ class Word:
         if self.kind is not None and letter.kind != self.kind:
             raise AlphabetMismatchError(
                 f"cannot prepend {letter.kind!r} letter to {self.kind!r} word")
-        return Word._make((letter,) + self.letters, letter.kind)
+        return Word._make((letter,) + self.letters, letter.kind,
+                          self.exact and letter.exact)
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(l.sort_key() for l in self.letters))
@@ -242,7 +264,7 @@ def concat(u: Word, v: Word) -> Word:
         return v
     if not v.letters:
         return u
-    return Word._make(u.letters + v.letters, u.kind)
+    return Word._make(u.letters + v.letters, u.kind, u.exact and v.exact)
 
 
 def weight(w: Word, wt: Callable[[Letter], int]) -> int:
@@ -255,100 +277,137 @@ def index_weight(letter: Letter) -> int:
     return letter.index
 
 
-class Polynomial:
-    """Finite formal linear combination of words, in canonical form.
+def _field_types(w: Word) -> tuple:
+    """The types of every field of every letter of ``w``, in order."""
+    return tuple(type(getattr(letter, name))
+                 for letter in w.letters for name in letter.__slots__)
 
-    Stored as a word -> coefficient map with no zero coefficients, so
+
+def _merge(data: dict, items) -> dict:
+    """Add ``(key, coefficient)`` pairs into ``data`` in place, deleting
+    keys whose coefficients cancel; returns ``data``."""
+    for key, c in items:
+        prev = data.get(key)
+        if prev is None:
+            data[key] = c
+        else:
+            prev = prev + c
+            if prev == 0:
+                del data[key]
+            else:
+                data[key] = prev
+    return data
+
+
+def _sort_key(key):
+    """Deterministic order on combination keys: their own sort key,
+    componentwise on tuples, the repr otherwise."""
+    if isinstance(key, tuple):
+        return tuple(_sort_key(k) for k in key)
+    return key.sort_key() if hasattr(key, "sort_key") else repr(key)
+
+
+class Combination:
+    """Finite formal linear combination of hashable keys, in canonical form.
+
+    Stored as a key -> coefficient map with no zero coefficients, so
     structural equality is semantic equality. Coefficients may be any
-    scalars supporting ``+``, ``*`` and comparison with 0.
+    scalars supporting ``+``, ``*`` and comparison with 0. Combinations of
+    different classes never compare equal.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[Mapping[Word, object], Iterable[tuple], None] = None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for w, c in items:
-                if c == 0:
-                    continue
-                acc = data.get(w)
-                if acc is None:
-                    data[w] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del data[w]
-                    else:
-                        data[w] = acc
-        self.terms = data
+    def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
+        items = (terms.items() if isinstance(terms, Mapping) else terms) or ()
+        self.terms = _merge({}, ((k, c) for k, c in items if c != 0))
 
     @classmethod
-    def _raw(cls, data: dict) -> "Polynomial":
+    def _raw(cls, data: dict):
         # internal: data already canonical (no zeros, merged)
-        p = object.__new__(cls)
-        p.terms = data
-        return p
+        obj = object.__new__(cls)
+        obj.terms = data
+        return obj
 
     @classmethod
-    def zero(cls) -> "Polynomial":
+    def zero(cls):
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls._raw({EMPTY_WORD: 1})
+    def monomial(cls, key, coeff=1):
+        return cls._raw({key: coeff}) if coeff != 0 else cls._raw({})
 
-    @classmethod
-    def monomial(cls, w: Word, coeff=1) -> "Polynomial":
-        return cls._raw({w: coeff}) if coeff != 0 else cls._raw({})
+    single = monomial
 
-    def coeff(self, w: Word):
-        """The coefficient of ``w``, 0 if absent."""
-        return self.terms.get(w, 0)
+    def coeff(self, key):
+        """The coefficient of ``key``, 0 if absent."""
+        return self.terms.get(key, 0)
+
+    def add_term(self, key, coeff) -> None:
+        # builder-style mutation; not part of the value interface
+        if coeff != 0:
+            _merge(self.terms, ((key, coeff),))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
+        if type(other) is type(self):
             return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = data.get(w)
-            if acc is None:
-                data[w] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del data[w]
-                else:
-                    data[w] = acc
-        return Polynomial._raw(data)
+        return self._raw(_merge(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __neg__(self) -> "Polynomial":
+    def __neg__(self):
         return (-1) * self
 
-    def __rmul__(self, scalar) -> "Polynomial":
-        if isinstance(scalar, Polynomial):
-            raise TypeError("polynomials multiply through a bracket product, "
-                            "not '*'")
+    def __rmul__(self, scalar):
+        if isinstance(scalar, Combination):
+            raise TypeError("combinations multiply through a product such "
+                            "as star, not '*'")
         if scalar == 0:
-            return Polynomial._raw({})
-        return Polynomial._raw({w: scalar * c for w, c in self.terms.items()})
+            return self._raw({})
+        return self._raw({k: scalar * c for k, c in self.terms.items()})
 
-    def __mul__(self, scalar) -> "Polynomial":
-        return self.__rmul__(scalar)
+    __mul__ = __rmul__
+
+    def sorted_terms(self) -> list:
+        """Terms in the deterministic order of their keys."""
+        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
+
+    def coefficient_sum(self):
+        return sum(self.terms.values())
+
+    total_mass = coefficient_sum
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self.terms)
+
+
+class Polynomial(Combination):
+    """Noncommutative polynomial: a combination of words; products go
+    through a bracket (see ``products.star``)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls) -> "Polynomial":
+        return cls._raw({EMPTY_WORD: 1})
 
     def prepended(self, letter: Letter, factor=1) -> "Polynomial":
         """Left-multiply every word by a letter, optionally scaling."""
@@ -358,17 +417,7 @@ class Polynomial:
             {w.prepended(letter): factor * c for w, c in self.terms.items()})
 
     def support(self) -> list[Word]:
-        return sorted(self.terms, key=Word.sort_key)
-
-    def sorted_terms(self) -> list[tuple[Word, object]]:
-        """Terms in graded-lexicographic word order."""
-        return [(w, self.terms[w]) for w in self.support()]
-
-    def coefficient_sum(self):
-        return sum(self.terms.values())
-
-    def __repr__(self) -> str:
-        return "Polynomial(%r)" % (self.terms,)
+        return [w for w, _ in self.sorted_terms()]
 
     def pretty(self) -> str:
         if not self.terms:

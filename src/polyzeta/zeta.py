@@ -10,19 +10,21 @@ provides the word encoding of such parameter sets over the ``X0``/``XForm``
 alphabet, its inverse, and the two symbolic expansions of a product of two
 series into a formal combination of series: through the word interleaving
 of the encodings (``shuffle_expand``) and through the contraction product
-on (s, xi) tuples at a common diagonal shift (``duffle_expand``).
+on (s, xi) pairs at a common diagonal shift (``duffle_expand``). Both
+encode their factors as words, multiply them with ``products.star``'s
+engine and decode the terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import DiagonalError, DivergenceError, ShapeError
-from .products import SHUFFLE, _star_words
+from .products import DUFFLE, SHUFFLE, _star_words
 from .scalars import Color, Real, color_abs, color_sort_key
-from .words import Word, X0, XForm
+from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
 
@@ -111,97 +113,10 @@ class PolyzetaParams:
         return f"PolyzetaParams(s={self.s!r}, xi={self.xi!r}, t={self.t!r})"
 
 
-class LinComb:
+class LinComb(Combination):
     """Formal finite combination of hashable terms, in canonical form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for term, c in items:
-                if c == 0:
-                    continue
-                prev = data.get(term)
-                if prev is None:
-                    data[term] = c
-                else:
-                    prev = prev + c
-                    if prev == 0:
-                        del data[term]
-                    else:
-                        data[term] = prev
-        self.terms = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "LinComb":
-        lc = object.__new__(cls)
-        lc.terms = data
-        return lc
-
-    @classmethod
-    def single(cls, term, coeff=1) -> "LinComb":
-        return cls._raw({term: coeff}) if coeff != 0 else cls._raw({})
-
-    def coeff(self, term):
-        return self.terms.get(term, 0)
-
-    def add_term(self, term, coeff) -> None:
-        # builder-style mutation; not part of the value interface
-        if coeff == 0:
-            return
-        prev = self.terms.get(term)
-        if prev is None:
-            self.terms[term] = coeff
-        else:
-            prev = prev + coeff
-            if prev == 0:
-                del self.terms[term]
-            else:
-                self.terms[term] = prev
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = LinComb._raw(dict(self.terms))
-        for term, c in other.terms.items():
-            out.add_term(term, c)
-        return out
-
-    def __rmul__(self, scalar) -> "LinComb":
-        if scalar == 0:
-            return LinComb._raw({})
-        return LinComb._raw({k: scalar * c for k, c in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LinComb):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def sorted_terms(self) -> list:
-        def key(kv):
-            term = kv[0]
-            return term.sort_key() if hasattr(term, "sort_key") else repr(term)
-        return sorted(self.terms.items(), key=key)
-
-    def total_mass(self):
-        return sum(self.terms.values())
-
-    def __repr__(self) -> str:
-        return "LinComb(%r)" % (self.terms,)
+    __slots__ = ()
 
     def pretty(self) -> str:
         if not self.terms:
@@ -318,26 +233,16 @@ def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],
             + (r1; p1) . (s1,s; x1,x  *  r,p)
             + (s1+r1; x1*p1) . (s,x  *  r,p)
 
-    with the empty pair as unit. Terms are (s, xi) tuples; identical terms
-    merge by coefficient addition.
+    with the empty pair as unit. This is the duffle product on words of
+    paired letters (s_i, xi_i); terms are read back as (s, xi) tuples.
     """
     if len(s) != len(xi) or len(r) != len(rho):
         raise ValueError("composition and color tuple lengths must match")
-    if not s:
-        return LinComb.single((r, rho))
-    if not r:
-        return LinComb.single((s, xi))
-    out = LinComb()
-    head_s, head_xi = s[0], xi[0]
-    head_r, head_rho = r[0], rho[0]
-    for (ts, txi), c in duffle_index(s[1:], xi[1:], r, rho):
-        out.add_term(((head_s,) + ts, (head_xi,) + txi), c)
-    for (ts, txi), c in duffle_index(s, xi, r[1:], rho[1:]):
-        out.add_term(((head_r,) + ts, (head_rho,) + txi), c)
-    merged = head_xi * head_rho
-    for (ts, txi), c in duffle_index(s[1:], xi[1:], r[1:], rho[1:]):
-        out.add_term(((head_s + head_r,) + ts, (merged,) + txi), c)
-    return out
+    product = _star_words(DUFFLE, Word(map(PairLetter, s, xi)),
+                          Word(map(PairLetter, r, rho)))
+    return LinComb._raw({
+        (tuple(l.index for l in w), tuple(l.value for l in w)): c
+        for w, c in product.items()})
 
 
 def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
@@ -365,7 +270,6 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
         return LinComb.single(q)
     if q.depth == 0:
         return LinComb.single(p)
-    out = LinComb()
-    for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi):
-        out.add_term(PolyzetaParams(ts, txi, (t,) * len(ts)), c)
-    return out
+    return LinComb._raw({
+        PolyzetaParams(ts, txi, (t,) * len(ts)): c
+        for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi)})

@@ -38,6 +38,32 @@ def star_oracle(br: Bracket, u: Word, v: Word) -> dict:
     return {w: c for w, c in out.items() if c != 0}
 
 
+def antipode_composition_sum(br: Bracket, w: Word) -> dict:
+    """The antipode as the signed composition sum
+
+        a(x1...xn) = sum over (i1,...,ik) of (-1)^k  block1 * ... * blockk,
+
+    cutting w into consecutive blocks of the sizes i1..ik and multiplying
+    the blocks left to right with the enumeration oracle above; a(1) = 1.
+    Compositions sharing their first blocks share those products."""
+    out: dict = {}
+
+    def extend(cur: dict, pos: int, sign: int) -> None:
+        if pos == len(w):
+            for v, c in cur.items():
+                out[v] = out.get(v, 0) + sign * c
+            return
+        for end in range(pos + 1, len(w) + 1):
+            nxt: dict = {}
+            for u, c in cur.items():
+                for v, d in star_oracle(br, u, w[pos:end]).items():
+                    nxt[v] = nxt.get(v, 0) + c * d
+            extend(nxt, end, -sign)
+
+    extend({Word(): 1}, 0, 1)
+    return {v: c for v, c in out.items() if c != 0}
+
+
 def brute_M(n: int, s, xi, lam):
     """Partial sum below n by enumerating all strictly decreasing tuples."""
     r = len(s)

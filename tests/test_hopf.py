@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import brute_compositions
+from oracles import antipode_composition_sum, brute_compositions
 from polyzeta.hopf import (CheckReport, TensorPolynomial, antipode,
                            antipode_recursive, check_antipode,
                            check_bialgebra, compositions, coproduct, counit,
                            default_alphabet)
-from polyzeta.products import (DUFFLE, PRODUCTS, SHUFFLE, STUFFLE, Bracket,
-                               star)
-from polyzeta.words import (EMPTY_WORD, Polynomial, Word, word, x, y)
+from polyzeta.products import (DUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
+                               STUFFLE, Bracket, star)
+from polyzeta.words import (EMPTY_WORD, MonoidLetter, Polynomial, Word, word,
+                            x, y)
 
 
 def test_coproduct_splittings():
@@ -119,6 +120,27 @@ def test_antipode_closed_equals_recursive(name):
         for letters in itertools.product(alphabet, repeat=n):
             w = Word(letters)
             assert antipode(br, w) == antipode_recursive(br, w)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_antipode_matches_composition_sum_oracle(name):
+    br = PRODUCTS[name]
+    alphabet = default_alphabet(br)[:2]
+    for n in range(6):
+        for letters in itertools.product(alphabet, repeat=n):
+            w = Word(letters)
+            assert antipode(br, w).terms == antipode_composition_sum(br, w)
+
+
+@pytest.mark.parametrize("route", (antipode, antipode_recursive))
+def test_antipode_memo_keeps_exact_results_exact(route):
+    # MonoidLetter(0.5) == MonoidLetter(Fraction(1, 2)), with equal hashes
+    floats = word(MonoidLetter(0.5), MonoidLetter(0.75))
+    exact = word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4)))
+    route(MULSTUFFLE, floats)
+    got = route(MULSTUFFLE, exact)
+    assert got == route(MULSTUFFLE, floats)
+    assert all(isinstance(letter.value, F) for w in got.terms for letter in w)
 
 
 def test_antipode_axiom_hand_example():

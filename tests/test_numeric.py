@@ -55,6 +55,14 @@ def test_check_prop_M_hand_cases():
     assert check_prop_M((2,), (F(1, 2),), (1,), (F(-1),), 6, shifted)
 
 
+def test_check_prop_M_exact_after_float_query():
+    # the float query fills the shared product memo first; the exact query
+    # must still see exact colors (0.5 and 1/2 are equal and hash alike)
+    lam = lambda k: 1 / (k - F(1, 3))
+    check_prop_M((2, 1), (0.5, 0.75), (1,), (-0.125,), 9, lam)
+    assert check_prop_M((2, 1), (F(1, 2), F(3, 4)), (1,), (F(-1, 8),), 9, lam)
+
+
 def test_check_prop_M_randomized_battery():
     rng = random.Random(31)
     for _ in range(200):
@@ -120,6 +128,20 @@ def test_eval_error_estimate_is_honest_for_depth_two():
     assert not res.converged  # unit colors cannot reach 1e-10 by 2**16
 
 
+@pytest.mark.parametrize("t", (F(-1, 2), F(0), F(1, 5), F(1, 3), F(1, 2),
+                               F(3, 4)))
+@pytest.mark.parametrize("s, n_used", ((4, 2**12), (5, 2**10)))
+def test_error_estimate_covers_shifted_hurwitz_sums(s, n_used, t):
+    # converged at the first cutoffs, where the shifted tail and the float
+    # rounding of the large first columns decide the estimate
+    mpmath = pytest.importorskip("mpmath")
+    res = eval_di(P((s,), (1,), (t,)))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(s, 1 - mpmath.mpf(t.numerator) / t.denominator))
+    assert abs(res.value - ref) <= res.error_estimate
+    assert res.converged and res.n_used == n_used
+
+
 def test_eval_shifted_colored_depth_two():
     p = P((2, 1), (0.6, 0.9), (0.2, -0.4))
     res = eval_di(p)
@@ -140,7 +162,8 @@ def test_eval_handles_color_ratios_above_one():
 
 
 def test_eval_non_doubling_mode():
-    cfg = EvalConfig(n_start=2**10, n_max=2**12, doubling=False)
+    # n_start == n_max: one pass at a fixed cutoff, no doubling
+    cfg = EvalConfig(n_start=2**12, n_max=2**12)
     res = eval_di(P((2,), (F(1, 2),), (0,)), cfg)
     assert res.n_used == 2**12
     oracle = single_sum_oracle(2, 0.5, 0.0, 2**12)
@@ -219,28 +242,6 @@ def test_verify_detects_wrong_expansion():
     rep = verify_relation((a, b), wrong)
     assert not rep.ok
     assert rep.residual > 1e-3
-
-
-def test_verify_threaded_matches_sequential():
-    a = P((3,), (0.5,), (0.2,))
-    b = P((2,), (-0.7,), (-0.3,))
-    lc = shuffle_expand(a, b)
-    seq = verify_relation((a, b), lc, max_workers=1)
-    par = verify_relation((a, b), lc, max_workers=4)
-    assert seq.lhs_value == par.lhs_value
-    assert seq.rhs_value == par.rhs_value
-
-
-def test_worker_count_env(monkeypatch):
-    from polyzeta.numeric import worker_count
-    monkeypatch.delenv("POLYZETA_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("POLYZETA_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("POLYZETA_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.setenv("POLYZETA_THREADS", "0")
-    assert worker_count() == 1
 
 
 def test_result_types():

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
+from oracles import star_oracle
 from polyzeta.errors import DiagonalError, DivergenceError, ShapeError
-from polyzeta.products import DUFFLE, star
+from polyzeta.products import DUFFLE
 from polyzeta.scalars import root_of_unity
 from polyzeta.words import PairLetter, Word, X0, XForm, word
 from polyzeta.zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
@@ -204,8 +205,8 @@ def test_duffle_expand_merges_identical_terms():
 
 
 def test_duffle_index_matches_word_level_product():
-    # the index <-> word correspondence turns the tuple recursion into the
-    # paired-alphabet product
+    # the index <-> word correspondence turns the tuple product into the
+    # paired-alphabet product, expanded here by the enumeration oracle
     rng = random.Random(9)
     for _ in range(30):
         l1, l2 = rng.randint(0, 3), rng.randint(0, 3)
@@ -218,12 +219,30 @@ def test_duffle_index_matches_word_level_product():
         lhs = duffle_index(s, xi, r, rho)
         wl = Word(PairLetter(si, ci) for si, ci in zip(s, xi))
         wr = Word(PairLetter(ri, ci) for ri, ci in zip(r, rho))
-        poly = star(DUFFLE, wl, wr)
         from_words = LinComb()
-        for wd, c in poly.terms.items():
+        for wd, c in star_oracle(DUFFLE, wl, wr).items():
             key = (tuple(l.index for l in wd), tuple(l.value for l in wd))
             from_words.add_term(key, c)
         assert lhs == from_words
+
+
+def test_duffle_index_length_mismatch():
+    with pytest.raises(ValueError):
+        duffle_index((1, 2), (F(1, 2),), (), ())
+
+
+@pytest.mark.parametrize("expand", (shuffle_expand, duffle_expand))
+def test_memo_hit_keeps_exact_results_exact(expand):
+    # letters carrying 0.5 and Fraction(1, 2) are equal and hash alike, so
+    # the product memo must not hand one query's scalars to the other
+    exact = (P((2, 1), (F(1, 2), F(3, 4)), (0, 0)), P((1,), (F(-1, 8),), (0,)))
+    inexact = tuple(P(p.s, tuple(float(c) for c in p.xi), p.t) for p in exact)
+    for first, second, kinds in ((inexact, exact, (int, F)),
+                                 (exact, inexact, (float,))):
+        expand(*first)
+        got = expand(*second)
+        assert got
+        assert all(isinstance(c, kinds) for term, _ in got for c in term.xi)
 
 
 def test_expand_commutativity_and_weight_conservation():
