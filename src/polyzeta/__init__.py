@@ -6,7 +6,7 @@ from .errors import (AlphabetMismatchError, DiagonalError, DivergenceError,
                      PolyzetaError, ShapeError)
 from .hopf import (CheckReport, TensorPolynomial, antipode,
                    antipode_recursive, check_antipode, check_bialgebra,
-                   compositions, coproduct, counit, default_alphabet)
+                   coproduct, counit, default_alphabet)
 from .numeric import (EvalConfig, EvalResult, VerifyReport, check_prop_M,
                       eval_di, partial_M, verify_relation)
 from .products import (DUFFLE, MINUS_STUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
@@ -30,9 +30,9 @@ __all__ = [
     "PolyzetaError", "PolyzetaParams", "PRODUCTS", "SHUFFLE", "STUFFLE",
     "ShapeError", "TensorPolynomial", "VerifyReport", "Word", "X0", "XForm",
     "antipode", "antipode_recursive", "check_antipode", "check_bialgebra",
-    "check_prop_M", "compositions", "concat", "coproduct", "counit",
-    "decode", "default_alphabet", "duffle", "duffle_bracket",
-    "duffle_expand", "duffle_index", "encode", "eval_di", "exact_color",
+    "check_prop_M", "concat", "coproduct", "counit", "decode",
+    "default_alphabet", "duffle", "duffle_bracket", "duffle_expand",
+    "duffle_index", "encode", "eval_di", "exact_color",
     "index_weight", "minus_stuffle", "mulstuffle", "mulstuffle_bracket",
     "partial_M", "root_of_unity", "shuffle", "shuffle_expand", "star",
     "stuffle", "tbar", "tbar_inverse", "verify_relation", "weight", "word",

@@ -208,9 +208,11 @@ def _run(args: argparse.Namespace) -> int:
         cfg = _make_config(args.nmax, eval_tol)
         rep = verify_relation((left, right), lc, cfg,
                               residual_tolerance=args.tol)
+        verdict = ("ok" if rep.ok else "FAILED" if rep.converged
+                   else "FAILED (unconverged)")
         pretty = (f"lhs = {rep.lhs_value:.12g}  rhs = {rep.rhs_value:.12g}  "
                   f"residual = {rep.residual:.3g} (tolerance {rep.tolerance:.3g})"
-                  f"  -> {'ok' if rep.ok else 'FAILED'}")
+                  f"  -> {verdict}")
         _emit(verify_report_to_json(rep), pretty, args.format)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
@@ -225,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return _run(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError, or an argument the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PolyzetaError as exc:

@@ -68,29 +68,6 @@ def counit(s: Union[Word, Polynomial]):
     return s.coeff(EMPTY_WORD)
 
 
-def compositions(n: int) -> list[tuple[int, ...]]:
-    """All tuples of positive integers summing to n; 2^(n-1) of them.
-    By the empty-word convention, n = 0 yields the single empty tuple."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return [()]
-    out = []
-    # each composition corresponds to a subset of the n-1 cut points
-    for mask in range(1 << (n - 1)):
-        parts = []
-        size = 1
-        for pos in range(n - 1):
-            if mask & (1 << pos):
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        parts.append(size)
-        out.append(tuple(parts))
-    return out
-
-
 def antipode(br: Bracket, w: Word) -> Polynomial:
     """Antipode by Hoffman's closed formula (Hoffman, "Quasi-shuffle
     products", J. Algebraic Combin. 11, 2000):
@@ -108,7 +85,7 @@ def antipode(br: Bracket, w: Word) -> Polynomial:
     so the antipodes of the prefixes of w are built shortest first, each
     once, from contractions and concatenations alone.
     """
-    memo = br._memo(br._antipode_memo, w)
+    memo = br._antipode_memo if w.exact else {}
     hit = memo.get(w)
     if hit is not None:
         return hit
@@ -138,17 +115,23 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
 
         a(w) = -w - sum over 0 < k < n of a(x1...xk) * x(k+1)...xn
 
-    with a(1) = 1 (and so a(letter) = -letter)."""
-    memo = br._memo(br._antipode_rec_memo, w)
+    with a(1) = 1 (and so a(letter) = -letter). The prefixes of w are
+    handled shortest first, as in ``antipode``."""
+    memo = br._antipode_rec_memo if w.exact else {}
     hit = memo.get(w)
     if hit is not None:
         return hit
-    n = len(w)
-    res = Polynomial.one() if n == 0 else Polynomial.monomial(w, -1)
-    for k in range(1, n):
-        res -= star(br, antipode_recursive(br, w[:k]), w[k:])
-    memo[w] = res
-    return res
+    prefixes = [Polynomial.one()]
+    for m in range(1, len(w) + 1):
+        prefix = w[:m]
+        res = memo.get(prefix)
+        if res is None:
+            res = Polynomial.monomial(prefix, -1)
+            for k in range(1, m):
+                res -= star(br, prefixes[k], prefix[k:])
+            memo[prefix] = res
+        prefixes.append(res)
+    return prefixes[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,6 +179,8 @@ def check_bialgebra(br: Bracket, maxlen: int,
     alphabet, that the product is commutative (where a symmetry violation
     of the bracket surfaces) and that it is compatible with the coproduct:
     coproduct(w1 * w2) = coproduct(w1) * coproduct(w2)."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     if alphabet is None:
         alphabet = default_alphabet(br)
     checked = 0
@@ -204,14 +189,14 @@ def check_bialgebra(br: Bracket, maxlen: int,
             for w1 in _words_of_length(alphabet, n1):
                 cop1 = coproduct(w1)
                 for w2 in _words_of_length(alphabet, total - n1):
-                    prod = _star_words(br, w1, w2)
+                    prod = star(br, w1, w2)
                     checked += 1
-                    if prod != _star_words(br, w2, w1):
+                    if prod != star(br, w2, w1):
                         return CheckReport(
                             "bialgebra-commutativity", False, checked,
                             {"left": w1, "right": w2})
                     lhs = cop1.star(br, coproduct(w2))
-                    rhs = coproduct(Polynomial._raw(prod))
+                    rhs = coproduct(prod)
                     if lhs != rhs:
                         return CheckReport(
                             "bialgebra-compatibility", False, checked,
@@ -226,6 +211,8 @@ def check_antipode(br: Bracket, maxlen: int,
         sum a(u) * v = sum u * a(v) = <w|1> 1   over splittings uv = w,
 
     on all words of length <= maxlen over the sample alphabet."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     if alphabet is None:
         alphabet = default_alphabet(br)
     checked = 0

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DivergenceError
-from .scalars import color_abs, to_complex
 from .zeta import LinComb, PolyzetaParams, duffle_index
 
 _EPS = sys.float_info.epsilon
@@ -163,7 +162,7 @@ class _SeriesEngine:
                  "mass")
 
     def __init__(self, p: PolyzetaParams):
-        self.c = [to_complex(v) for v in p.cumulative_colors()]
+        self.c = [complex(v) for v in p.cumulative_colors()]
         self.s = p.s
         self.t = [float(v) for v in p.t]
         self.r = p.depth
@@ -212,7 +211,7 @@ def _tail_estimate(p: PolyzetaParams, engine: _SeriesEngine, cutoff: int) -> flo
     corner (s1 = 1 with a unit-modulus inner prefix product) falls back to
     the magnitude of the last column, surfaced as an estimate only.
     """
-    moduli = [color_abs(c) for c in p.cumulative_colors()]
+    moduli = [abs(c) for c in p.cumulative_colors()]
     q = max(moduli)
     if q < 1:
         qf = float(q)
@@ -258,7 +257,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
 
 @dataclass(frozen=True, slots=True)
 class VerifyReport:
-    """Numerical comparison of a two-factor product against an expansion."""
+    """Numerical comparison of a two-factor product against an expansion;
+    ``ok`` needs a converged evaluation of every term."""
 
     lhs_value: complex
     rhs_value: complex
@@ -278,6 +278,7 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
 
     Without an explicit ``residual_tolerance``, the acceptance threshold
     is the propagated error budget of the evaluations plus ``cfg.tolerance``.
+    An unconverged evaluation fails the check whatever the residual.
     Terms are summed in sorted order. A divergent term raises, naming the
     term.
     """
@@ -303,12 +304,13 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
     residual = abs(lhs_value - rhs_value)
     budget = cfg.tolerance + lhs_err + rhs_err
     threshold = residual_tolerance if residual_tolerance is not None else budget
+    converged = all(res.converged for res in results)
     return VerifyReport(
         lhs_value=lhs_value,
         rhs_value=rhs_value,
         residual=residual,
         tolerance=threshold,
-        ok=residual <= threshold,
+        ok=converged and residual <= threshold,
         n_used=max(res.n_used for res in results),
-        converged=all(res.converged for res in results),
+        converged=converged,
     )

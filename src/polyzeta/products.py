@@ -7,10 +7,11 @@ letter)`` pair for a contraction; the recursion is
 
     au * bv  =  a (u * bv)  +  b (au * v)  +  [a, b] (u * v)
 
-extended bilinearly, with the empty word as unit. Expansions are memoized
-on word pairs per bracket; queries on words carrying float or complex
-scalars get tables of their own, so a memo hit never changes whether the
-scalars of a result are exact.
+extended bilinearly, with the empty word as unit. Expansions of exact
+word pairs are memoized per bracket; a query on a word carrying a float
+or complex scalar gets a table private to it, since letters carrying 0.5
+and Fraction(1, 2) are equal and hash alike. The antipodes in ``hopf``
+follow the same rule.
 """
 
 from __future__ import annotations
@@ -19,15 +20,9 @@ import operator
 from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
-from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
-                    Word, _field_types)
+from .words import Indexed, Letter, MonoidLetter, PairLetter, Polynomial, Word
 
 BracketResult = Optional[tuple[object, Letter]]
-
-
-# Marks the keys under which a memo table keeps one sub-table per
-# signature of letter field types, for queries on inexact words.
-_TYPED = object()
 
 
 class Bracket:
@@ -56,26 +51,14 @@ class Bracket:
                 f"bracket {self.name!r} is undefined on {a.kind!r} letters")
         return self.fn(a, b)
 
-    def _memo(self, table: dict, *words: Word) -> dict:
-        """The memo table for a query on ``words``: ``table`` itself when
-        every scalar the words carry is exact, else a sub-table private to
-        the types of their letters' fields. Letters carrying 0.5 and
-        Fraction(1, 2) are equal and hash alike, so one shared table would
-        hand float results to exact queries and the reverse."""
-        for w in words:
-            if not w.exact:
-                types = tuple(map(_field_types, words))
-                return table.setdefault((_TYPED, types), {})
-        return table
-
     def __repr__(self) -> str:
         return f"Bracket({self.name!r})"
 
 
 def _star_words(br: Bracket, u: Word, v: Word) -> dict:
-    """Raw expansion of u * v as a word -> coefficient dict (memoized)."""
-    memo = (br._star_memo if u.exact and v.exact
-            else br._memo(br._star_memo, u, v))
+    """Raw expansion of u * v as a word -> coefficient dict, memoized when
+    both words are exact; the dict is shared and must not be mutated."""
+    memo = br._star_memo if u.exact and v.exact else {}
     hit = memo.get((u, v))
     return hit if hit is not None else _expand(memo, br, u, v)
 
@@ -112,7 +95,10 @@ def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
 
 
 def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:
-    """The bracket-selected product, extended bilinearly to polynomials."""
+    """The bracket-selected product, extended bilinearly to polynomials.
+    On two words the result shares its terms with the memo."""
+    if isinstance(left, Word) and isinstance(right, Word):
+        return Polynomial._raw(_star_words(br, left, right))
     lt = left.terms if isinstance(left, Polynomial) else {left: 1}
     rt = right.terms if isinstance(right, Polynomial) else {right: 1}
     out: dict = {}

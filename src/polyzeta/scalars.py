@@ -103,15 +103,6 @@ def root_of_unity(k: int, n: int) -> Union[Fraction, ExactColor]:
     return exact_color(1, Fraction(k, n))
 
 
-def color_abs(value: Color) -> Real:
-    """Modulus; exact (Fraction) for exact colors, float otherwise."""
-    return abs(value)
-
-
-def to_complex(value: Color) -> complex:
-    return complex(value)
-
-
 def color_sort_key(value: Color) -> tuple:
     """Deterministic total order on colors (not a semantic order)."""
     if isinstance(value, (int, Fraction)):

@@ -14,7 +14,8 @@ Words are immutable; ``u + v`` concatenates and ``Word()`` is the unit.
 :class:`Combination` is the one canonical formal-combination type (keys
 to coefficients over any ring whose elements support ``+``, ``*`` and
 ``== 0``: int, Fraction and complex all qualify); a :class:`Polynomial`
-is a combination of words.
+is a combination of words. Combinations are immutable values and
+``terms`` is read-only: a product may share it with its memo.
 """
 
 from __future__ import annotations
@@ -277,12 +278,6 @@ def index_weight(letter: Letter) -> int:
     return letter.index
 
 
-def _field_types(w: Word) -> tuple:
-    """The types of every field of every letter of ``w``, in order."""
-    return tuple(type(getattr(letter, name))
-                 for letter in w.letters for name in letter.__slots__)
-
-
 def _merge(data: dict, items) -> dict:
     """Add ``(key, coefficient)`` pairs into ``data`` in place, deleting
     keys whose coefficients cancel; returns ``data``."""
@@ -313,7 +308,7 @@ class Combination:
     Stored as a key -> coefficient map with no zero coefficients, so
     structural equality is semantic equality. Coefficients may be any
     scalars supporting ``+``, ``*`` and comparison with 0. Combinations of
-    different classes never compare equal.
+    different classes never compare equal. The map is shared, never mutated.
     """
 
     __slots__ = ("terms",)
@@ -337,16 +332,9 @@ class Combination:
     def monomial(cls, key, coeff=1):
         return cls._raw({key: coeff}) if coeff != 0 else cls._raw({})
 
-    single = monomial
-
     def coeff(self, key):
         """The coefficient of ``key``, 0 if absent."""
         return self.terms.get(key, 0)
-
-    def add_term(self, key, coeff) -> None:
-        # builder-style mutation; not part of the value interface
-        if coeff != 0:
-            _merge(self.terms, ((key, coeff),))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -393,8 +381,6 @@ class Combination:
     def coefficient_sum(self):
         return sum(self.terms.values())
 
-    total_mass = coefficient_sum
-
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.terms)
 
@@ -415,9 +401,6 @@ class Polynomial(Combination):
             return Polynomial._raw({})
         return Polynomial._raw(
             {w.prepended(letter): factor * c for w, c in self.terms.items()})
-
-    def support(self) -> list[Word]:
-        return [w for w, _ in self.sorted_terms()]
 
     def pretty(self) -> str:
         if not self.terms:

@@ -17,13 +17,14 @@ engine and decode the terms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DiagonalError, DivergenceError, ShapeError
-from .products import DUFFLE, SHUFFLE, _star_words
-from .scalars import Color, Real, color_abs, color_sort_key
+from .products import DUFFLE, SHUFFLE, star
+from .scalars import Color, Real, color_sort_key
 from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
@@ -56,6 +57,9 @@ class PolyzetaParams:
             raise ValueError("colors must be nonzero")
         if any(isinstance(ti, complex) for ti in self.t):
             raise ValueError("shifts must be real")
+        if not all(cmath.isfinite(v) for v in self.xi + self.t
+                   if isinstance(v, (float, complex))):
+            raise ValueError("shifts and colors must be finite")
 
     @classmethod
     def of(cls, s: Iterable[int], xi: Iterable[Color],
@@ -86,7 +90,7 @@ class PolyzetaParams:
     def satisfies_condition_e(self) -> bool:
         """All prefix products of colors have modulus <= 1 and all
         shifts are < 1 (the convergence hypothesis of the series)."""
-        return (all(color_abs(c) <= 1 for c in self.cumulative_colors())
+        return (all(abs(c) <= 1 for c in self.cumulative_colors())
                 and all(ti < 1 for ti in self.t))
 
     def is_convergent(self) -> bool:
@@ -96,7 +100,7 @@ class PolyzetaParams:
             return True
         if self.s[0] > 1:
             return True
-        return self.s[0] == 1 and color_abs(self.xi[0]) < 1
+        return self.s[0] == 1 and abs(self.xi[0]) < 1
 
     def sort_key(self) -> tuple:
         return (self.depth, self.s,
@@ -208,20 +212,18 @@ def shuffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
     inputs, so leading exponents or leading moduli carry over).
     """
     if p.depth == 0:
-        return LinComb.single(q)
+        return LinComb.monomial(q)
     if q.depth == 0:
-        return LinComb.single(p)
+        return LinComb.monomial(p)
     for name, params in (("left", p), ("right", q)):
         if not params.is_convergent():
             raise DivergenceError(
                 f"{name} factor {params.pretty()} is divergent; "
                 "the interleaving expansion is defined on convergent series")
-    out = LinComb()
-    for wd, coeff in _star_words(SHUFFLE, encode(p), encode(q)).items():
-        term = decode(wd)
-        assert term.is_convergent(), "interleaving produced a divergent term"
-        out.add_term(term, coeff)
-    return out
+    terms = [(decode(wd), c) for wd, c in star(SHUFFLE, encode(p), encode(q))]
+    assert all(term.is_convergent() for term, _ in terms), \
+        "interleaving produced a divergent term"
+    return LinComb(terms)
 
 
 def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],
@@ -238,11 +240,11 @@ def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],
     """
     if len(s) != len(xi) or len(r) != len(rho):
         raise ValueError("composition and color tuple lengths must match")
-    product = _star_words(DUFFLE, Word(map(PairLetter, s, xi)),
-                          Word(map(PairLetter, r, rho)))
+    product = star(DUFFLE, Word(map(PairLetter, s, xi)),
+                   Word(map(PairLetter, r, rho)))
     return LinComb._raw({
         (tuple(l.index for l in w), tuple(l.value for l in w)): c
-        for w, c in product.items()})
+        for w, c in product})
 
 
 def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
@@ -267,9 +269,9 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
             f"shifts differ between factors ({tp!r} vs {tq!r})")
     t = tp if tp is not None else tq
     if p.depth == 0:
-        return LinComb.single(q)
+        return LinComb.monomial(q)
     if q.depth == 0:
-        return LinComb.single(p)
+        return LinComb.monomial(p)
     return LinComb._raw({
         PolyzetaParams(ts, txi, (t,) * len(ts)): c
         for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi)})

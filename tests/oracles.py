@@ -113,18 +113,6 @@ def double_sum_oracle(s, xi, shifts, cutoff: int) -> complex:
     return total
 
 
-def brute_compositions(n: int) -> set:
-    """All positive tuples summing to n, by filtered enumeration of
-    cut-point subsets done the slow way (recursive first-part choice)."""
-    if n == 0:
-        return {()}
-    out = set()
-    for first in range(1, n + 1):
-        for rest in brute_compositions(n - first):
-            out.add((first,) + rest)
-    return out
-
-
 def rational_grid(rng, lo=-3, hi=3, qmax=4) -> Fraction:
     """Small random nonzero rational."""
     p = 0

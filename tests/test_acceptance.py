@@ -127,7 +127,7 @@ def test_criterion_4_shuffle_parameter_expansion():
                       "five classes, coefficients (1,2,3,3,1)", 1e-2):
         got = shuffle_expand(p, q)
         assert got == expected
-    assert got.total_mass() == comb(5, 2)
+    assert got.coefficient_sum() == comb(5, 2)
 
 
 def _coalgebra_axioms(alphabet, maxlen):

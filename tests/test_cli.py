@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polyzeta.cli import main
 from polyzeta.serialize import (lincomb_from_json, params_to_json,
                                 polynomial_from_json, word_to_json)
@@ -182,3 +184,36 @@ def test_file_at_reference(tmp_path, capsys):
     code2, _, err = run(capsys, "expand", "--product", "stuffle",
                         "--left", "@/nonexistent/file.json", "--right", yw(2))
     assert code2 == 2
+
+
+def test_verify_command_fails_unconverged_run(capsys):
+    left = {"s": [2, 1], "xi": [1, -1], "t": [0, 0]}
+    right = {"s": [3], "xi": [-1], "t": [0]}
+    argv = ("verify", "--mode", "duffle", "--left", json.dumps(left),
+            "--right", json.dumps(right), "--nmax", str(2**12))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["converged"] is False and payload["ok"] is False
+    code, out, _ = run(capsys, *argv, "--format", "pretty")
+    assert code == 1
+    assert out.rstrip().endswith("-> FAILED (unconverged)")
+
+
+ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
+
+
+@pytest.mark.parametrize("argv", (
+    ("hopf-check", "--product", "stuffle", "--max-len", "-3"),
+    ("eval", "--params", ZETA2, "--nmax", "1"),
+    ("eval", "--params", ZETA2, "--tol", "-1"),
+    ("verify", "--mode", "shuffle", "--left", ZETA2, "--right", ZETA2,
+     "--nmax", "1"),
+    # JSON 1e999 parses to inf
+    ("eval", "--params", '{"s": [2], "xi": [1], "t": [-1e999]}'),
+), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
+        "verify-nmax-1", "non-finite-shift"))
+def test_refused_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")

@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import antipode_composition_sum, brute_compositions
+from oracles import antipode_composition_sum
 from polyzeta.hopf import (CheckReport, TensorPolynomial, antipode,
                            antipode_recursive, check_antipode,
-                           check_bialgebra, compositions, coproduct, counit,
+                           check_bialgebra, coproduct, counit,
                            default_alphabet)
 from polyzeta.products import (DUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
                                STUFFLE, Bracket, star)
 from polyzeta.words import (EMPTY_WORD, MonoidLetter, Polynomial, Word, word,
                             x, y)
+
+Y12 = word(y(1), y(2))
 
 
 def test_coproduct_splittings():
@@ -70,22 +72,6 @@ def test_coassociativity():
                     key = (u, b, cc)
                     right[key] = right.get(key, 0) + c * d
             assert left == right
-
-
-def test_compositions_small():
-    assert compositions(0) == [()]
-    assert compositions(1) == [(1,)]
-    assert set(compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
-    with pytest.raises(ValueError):
-        compositions(-1)
-
-
-def test_compositions_against_bruteforce():
-    for n in range(8):
-        got = compositions(n)
-        assert len(got) == len(set(got))
-        assert set(got) == brute_compositions(n)
-    assert len(compositions(10)) == 512
 
 
 def test_antipode_single_letter():
@@ -194,3 +180,35 @@ def test_report_shape():
     assert rep.status == "ok"
     assert rep.counterexample is None
     assert rep.checked > 0
+
+
+@pytest.mark.parametrize("route, table", ((antipode, "_antipode_memo"),
+                                          (antipode_recursive,
+                                           "_antipode_rec_memo")))
+def test_only_exact_queries_fill_the_antipode_memos(route, table):
+    br = Bracket("mulstuffle", MULSTUFFLE.fn, MULSTUFFLE.kinds)
+    route(br, word(MonoidLetter(0.5), MonoidLetter(0.75)))
+    assert len(getattr(br, table)) == 0 and len(br._star_memo) == 0
+    route(br, word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4))))
+    assert len(getattr(br, table)) == 2
+
+
+@pytest.mark.parametrize("compute", (
+    lambda: star(STUFFLE, Y12, word(y(3))),
+    lambda: antipode(STUFFLE, Y12),
+    lambda: antipode_recursive(STUFFLE, Y12),
+), ids=("star", "antipode", "antipode_recursive"))
+def test_arithmetic_leaves_memoized_results_unchanged(compute):
+    first = compute()
+    before = dict(first.terms)
+    results = (first + Polynomial.monomial(word(y(9))), first - first,
+               -first, 3 * first, first * F(1, 2), first.prepended(y(9)))
+    assert all(res is not first for res in results)
+    assert first.terms == before
+    assert compute().terms == before
+
+
+@pytest.mark.parametrize("check", (check_bialgebra, check_antipode))
+def test_checks_refuse_negative_length_bound(check):
+    with pytest.raises(ValueError):
+        check(STUFFLE, -1)

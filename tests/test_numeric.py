@@ -172,7 +172,7 @@ def test_eval_non_doubling_mode():
 
 def test_verify_trivial_unit_relation():
     p = P((2,), (F(1, 2),), (0,))
-    rep = verify_relation((p, PolyzetaParams.unit()), LinComb.single(p))
+    rep = verify_relation((p, PolyzetaParams.unit()), LinComb.monomial(p))
     assert rep.ok and rep.residual < 1e-14
 
 
@@ -231,14 +231,14 @@ def test_verify_names_divergent_terms():
     p = P((2,), (F(1, 2),), (0,))
     bad = P((1,), (1,), (0,))
     with pytest.raises(DivergenceError) as err:
-        verify_relation((p, p), LinComb.single(bad))
+        verify_relation((p, p), LinComb.monomial(bad))
     assert "s=(1)" in str(err.value)
 
 
 def test_verify_detects_wrong_expansion():
     a = P((3,), (0.5,), (0.0,))
     b = P((2,), (0.5,), (0.0,))
-    wrong = shuffle_expand(a, b) + LinComb.single(P((2,), (F(1, 3),), (0,)))
+    wrong = shuffle_expand(a, b) + LinComb.monomial(P((2,), (F(1, 3),), (0,)))
     rep = verify_relation((a, b), wrong)
     assert not rep.ok
     assert rep.residual > 1e-3
@@ -248,6 +248,17 @@ def test_result_types():
     res = eval_di(P((2,), (F(1, 2),), (0,)))
     assert isinstance(res, EvalResult)
     rep = verify_relation((PolyzetaParams.unit(), PolyzetaParams.unit()),
-                          LinComb.single(PolyzetaParams.unit()))
+                          LinComb.monomial(PolyzetaParams.unit()))
     assert isinstance(rep, VerifyReport)
     assert rep.residual == 0
+
+
+def test_verify_fails_unconverged_evaluations():
+    # the residual sits far inside the (unconverged) error budget, but the
+    # alternating-color terms stop at n_max short of the tolerance
+    a = P((2, 1), (1, -1), (0, 0))
+    b = P((3,), (-1,), (0,))
+    rep = verify_relation((a, b), duffle_expand(a, b), EvalConfig(n_max=2**12))
+    assert not rep.converged
+    assert rep.residual <= rep.tolerance
+    assert not rep.ok

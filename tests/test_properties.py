@@ -158,7 +158,7 @@ def test_expanders_commute(p, q):
 @given(convergent_params(max_depth=2), convergent_params(max_depth=2))
 def test_shuffle_expand_conservation(p, q):
     lc = shuffle_expand(p, q)
-    assert lc.total_mass() == comb(p.weight + q.weight, p.weight)
+    assert lc.coefficient_sum() == comb(p.weight + q.weight, p.weight)
     for term, _ in lc:
         assert term.depth == p.depth + q.depth
         assert term.weight == p.weight + q.weight

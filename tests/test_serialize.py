@@ -109,5 +109,5 @@ def test_report_and_result_payloads_are_json():
     json.dumps(eval_result_to_json(res))
     vrep = verify_relation(
         (PolyzetaParams.unit(), PolyzetaParams.unit()),
-        LinComb.single(PolyzetaParams.unit()), EvalConfig())
+        LinComb.monomial(PolyzetaParams.unit()), EvalConfig())
     json.dumps(verify_report_to_json(vrep))

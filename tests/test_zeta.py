@@ -29,6 +29,15 @@ def test_params_validation():
     assert unit.depth == 0 and unit.is_convergent()
 
 
+@pytest.mark.parametrize("xi, t", (
+    ((float("inf"),), (0,)), ((complex(0.5, float("nan")),), (0,)),
+    ((1,), (float("-inf"),)), ((1,), (float("nan"),)),
+))
+def test_params_reject_non_finite_scalars(xi, t):
+    with pytest.raises(ValueError):
+        P((2,), xi, t)
+
+
 def test_condition_e_and_convergence():
     assert P((2,), (1,), (0,)).satisfies_condition_e()
     assert not P((2,), (2,), (0,)).satisfies_condition_e()
@@ -129,13 +138,13 @@ def test_shuffle_expand_worked_example():
         P((3, 2), b_colors, b_shifts): 1,
     })
     assert lc == expected
-    assert lc.total_mass() == comb(5, 2)
+    assert lc.coefficient_sum() == comb(5, 2)
 
 
 def test_shuffle_expand_unit():
     p = P((2,), (F(1, 2),), (0,))
-    assert shuffle_expand(p, PolyzetaParams.unit()) == LinComb.single(p)
-    assert shuffle_expand(PolyzetaParams.unit(), p) == LinComb.single(p)
+    assert shuffle_expand(p, PolyzetaParams.unit()) == LinComb.monomial(p)
+    assert shuffle_expand(PolyzetaParams.unit(), p) == LinComb.monomial(p)
 
 
 def test_shuffle_expand_requires_convergence():
@@ -153,7 +162,7 @@ def test_shuffle_expand_leading_one_allowed_with_damping():
     q = P((2,), (F(1, 3),), (0,))
     lc = shuffle_expand(p, q)
     assert all(term.is_convergent() for term, _ in lc)
-    assert lc.total_mass() == comb(3, 1)
+    assert lc.coefficient_sum() == comb(3, 1)
 
 
 def test_duffle_expand_worked_example():
@@ -173,7 +182,7 @@ def test_duffle_expand_worked_example():
 
 def test_duffle_expand_unit_and_depth_one():
     p = P((3,), (F(1, 2),), (F(1, 9),))
-    assert duffle_expand(p, PolyzetaParams.unit()) == LinComb.single(p)
+    assert duffle_expand(p, PolyzetaParams.unit()) == LinComb.monomial(p)
     a, b = F(1, 2), F(-1, 3)
     t = F(0)
     got = duffle_expand(P((2,), (a,), (t,)), P((3,), (b,), (t,)))
@@ -219,10 +228,9 @@ def test_duffle_index_matches_word_level_product():
         lhs = duffle_index(s, xi, r, rho)
         wl = Word(PairLetter(si, ci) for si, ci in zip(s, xi))
         wr = Word(PairLetter(ri, ci) for ri, ci in zip(r, rho))
-        from_words = LinComb()
-        for wd, c in star_oracle(DUFFLE, wl, wr).items():
-            key = (tuple(l.index for l in wd), tuple(l.value for l in wd))
-            from_words.add_term(key, c)
+        from_words = LinComb(
+            ((tuple(l.index for l in wd), tuple(l.value for l in wd)), c)
+            for wd, c in star_oracle(DUFFLE, wl, wr).items())
         assert lhs == from_words
 
 
@@ -283,14 +291,12 @@ def test_expand_associativity_at_parameter_level():
     b = P((3,), (F(-1, 3),), (t0,))
     c = P((2, 1), (F(1, 2), F(1, 2)), (t0, t0))
     for expand in (shuffle_expand, duffle_expand):
-        left = LinComb()
-        for term, coeff in expand(a, b):
-            for term2, coeff2 in expand(term, c):
-                left.add_term(term2, coeff * coeff2)
-        right = LinComb()
-        for term, coeff in expand(b, c):
-            for term2, coeff2 in expand(a, term):
-                right.add_term(term2, coeff * coeff2)
+        left = LinComb((term2, coeff * coeff2)
+                       for term, coeff in expand(a, b)
+                       for term2, coeff2 in expand(term, c))
+        right = LinComb((term2, coeff * coeff2)
+                        for term, coeff in expand(b, c)
+                        for term2, coeff2 in expand(a, term))
         assert left == right
 
 
