@@ -10,13 +10,11 @@ from .hopf import (CheckReport, TensorPolynomial, antipode,
 from .numeric import (EvalConfig, EvalResult, VerifyReport, check_prop_M,
                       eval_di, partial_M, verify_relation)
 from .products import (DUFFLE, MINUS_STUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
-                       STUFFLE, Bracket, duffle, duffle_bracket,
-                       minus_stuffle, mulstuffle, mulstuffle_bracket,
+                       STUFFLE, Bracket, duffle, minus_stuffle, mulstuffle,
                        shuffle, star, stuffle)
 from .scalars import ExactColor, exact_color, root_of_unity
 from .words import (EMPTY_WORD, Indexed, Letter, MonoidLetter, PairLetter,
-                    Polynomial, Word, X0, XForm, concat, index_weight,
-                    weight, word, x, y)
+                    Polynomial, Word, X0, XForm, concat, word, x, y)
 from .zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
                    duffle_index, encode, shuffle_expand, tbar, tbar_inverse)
 
@@ -31,10 +29,8 @@ __all__ = [
     "ShapeError", "TensorPolynomial", "VerifyReport", "Word", "X0", "XForm",
     "antipode", "antipode_recursive", "check_antipode", "check_bialgebra",
     "check_prop_M", "concat", "coproduct", "counit", "decode",
-    "default_alphabet", "duffle", "duffle_bracket", "duffle_expand",
-    "duffle_index", "encode", "eval_di", "exact_color",
-    "index_weight", "minus_stuffle", "mulstuffle", "mulstuffle_bracket",
-    "partial_M", "root_of_unity", "shuffle", "shuffle_expand", "star",
-    "stuffle", "tbar", "tbar_inverse", "verify_relation", "weight", "word",
-    "x", "y",
+    "default_alphabet", "duffle", "duffle_expand", "duffle_index", "encode",
+    "eval_di", "exact_color", "minus_stuffle", "mulstuffle", "partial_M",
+    "root_of_unity", "shuffle", "shuffle_expand", "star", "stuffle", "tbar",
+    "tbar_inverse", "verify_relation", "word", "x", "y",
 ]

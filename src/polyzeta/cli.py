@@ -29,6 +29,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+_EXPANSIONS = {"shuffle": shuffle_expand, "duffle": duffle_expand}
+
 
 def _load_json(arg: str):
     """Inline JSON, or @path to read a JSON file."""
@@ -53,19 +55,6 @@ def _emit(payload, pretty_text: Optional[str], fmt: str) -> None:
         print(json.dumps(payload, ensure_ascii=False))
 
 
-def _product(name: str):
-    try:
-        return PRODUCTS[name]
-    except KeyError:
-        raise ParseError(f"unknown product {name!r}; "
-                         f"choose from {sorted(PRODUCTS)}")
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "pretty"),
-                        default="json", help="output format (default json)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyzeta",
@@ -77,51 +66,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
     p.add_argument("--left", required=True, help="word JSON or @file")
     p.add_argument("--right", required=True, help="word JSON or @file")
-    _add_format(p)
 
     p = sub.add_parser("antipode", help="antipode of a word")
     p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
     p.add_argument("--word", required=True, help="word JSON or @file")
-    _add_format(p)
 
     p = sub.add_parser("hopf-check",
                        help="exhaustive bialgebra and antipode axiom checks")
     p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--alphabet", help="letters JSON or @file (list of letters)")
-    _add_format(p)
 
     p = sub.add_parser("encode", help="parameters -> encoded word")
     p.add_argument("--params", required=True, help="params JSON or @file")
-    _add_format(p)
 
     p = sub.add_parser("decode", help="encoded word -> parameters")
     p.add_argument("--word", required=True, help="word JSON or @file")
-    _add_format(p)
 
     p = sub.add_parser("zeta-expand",
                        help="symbolic expansion of a product of two series")
-    p.add_argument("--mode", required=True, choices=("shuffle", "duffle"))
+    p.add_argument("--mode", required=True, choices=tuple(_EXPANSIONS))
     p.add_argument("--left", required=True, help="params JSON or @file")
     p.add_argument("--right", required=True, help="params JSON or @file")
-    _add_format(p)
 
     p = sub.add_parser("eval", help="numerically evaluate one series")
     p.add_argument("--params", required=True, help="params JSON or @file")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--nmax", type=int, default=None)
-    _add_format(p)
 
     p = sub.add_parser("verify",
                        help="expand then numerically verify the identity")
-    p.add_argument("--mode", required=True, choices=("shuffle", "duffle"))
+    p.add_argument("--mode", required=True, choices=tuple(_EXPANSIONS))
     p.add_argument("--left", required=True, help="params JSON or @file")
     p.add_argument("--right", required=True, help="params JSON or @file")
     p.add_argument("--tol", type=float, default=None,
                    help="residual threshold (default: propagated budget)")
     p.add_argument("--nmax", type=int, default=None)
-    _add_format(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "pretty"),
+                       default="json", help="output format (default json)")
     return parser
 
 
@@ -137,7 +121,7 @@ def _make_config(nmax: Optional[int], eval_tol: Optional[float]) -> EvalConfig:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "expand":
-        br = _product(args.product)
+        br = PRODUCTS[args.product]
         left = word_from_json(_load_json(args.left))
         right = word_from_json(_load_json(args.right))
         result = star(br, left, right)
@@ -145,14 +129,14 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "antipode":
-        br = _product(args.product)
+        br = PRODUCTS[args.product]
         w = word_from_json(_load_json(args.word))
         result = hopf_antipode(br, w)
         _emit(polynomial_to_json(result), result.pretty(), args.format)
         return EXIT_OK
 
     if args.command == "hopf-check":
-        br = _product(args.product)
+        br = PRODUCTS[args.product]
         alphabet = None
         if args.alphabet:
             data = _load_json(args.alphabet)
@@ -183,8 +167,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "zeta-expand":
         left = params_from_json(_load_json(args.left))
         right = params_from_json(_load_json(args.right))
-        expand = shuffle_expand if args.mode == "shuffle" else duffle_expand
-        lc = expand(left, right)
+        lc = _EXPANSIONS[args.mode](left, right)
         _emit(lincomb_to_json(lc), lc.pretty(), args.format)
         return EXIT_OK
 
@@ -201,8 +184,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         left = params_from_json(_load_json(args.left))
         right = params_from_json(_load_json(args.right))
-        expand = shuffle_expand if args.mode == "shuffle" else duffle_expand
-        lc = expand(left, right)
+        lc = _EXPANSIONS[args.mode](left, right)
         # evaluate noticeably tighter than the residual threshold
         eval_tol = min(1e-10, args.tol / 100) if args.tol is not None else None
         cfg = _make_config(args.nmax, eval_tol)

@@ -47,11 +47,6 @@ class TensorPolynomial(Combination):
                         out[key] = c if prev is None else prev + c
         return TensorPolynomial._raw({k: c for k, c in out.items() if c != 0})
 
-    def left_prepended(self, letter: Letter) -> "TensorPolynomial":
-        """(letter (x) 1) . T, concatenating on first components."""
-        return TensorPolynomial._raw(
-            {(u.prepended(letter), v): c for (u, v), c in self.terms.items()})
-
 
 def coproduct(w: Union[Word, Polynomial]) -> TensorPolynomial:
     """Sum of all deconcatenation splittings u (x) v with uv = w,
@@ -161,9 +156,9 @@ def default_alphabet(br: Bracket) -> tuple[Letter, ...]:
     if name in ("stuffle", "minusstuffle"):
         return (y(1), y(2), y(3))
     rationals = (Fraction(2, 3), Fraction(-1), Fraction(1, 2), Fraction(3))
-    if name.startswith("mulstuffle"):
+    if name == "mulstuffle":
         return tuple(MonoidLetter(v) for v in rationals)
-    if name.startswith("duffle"):
+    if name == "duffle":
         return tuple(PairLetter(i + 1, v) for i, v in enumerate(rationals[:3]))
     raise ValueError(f"no default alphabet for bracket {name!r}")
 

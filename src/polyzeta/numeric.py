@@ -40,8 +40,8 @@ class EvalConfig:
     n_max: int = 2**22
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         if self.n_start > self.n_max:
             raise ValueError("n_start must not exceed n_max")
         if self.n_start < 2:
@@ -282,6 +282,8 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
     Terms are summed in sorted order. A divergent term raises, naming the
     term.
     """
+    if residual_tolerance is not None and not 0 <= residual_tolerance < math.inf:
+        raise ValueError("residual_tolerance must be finite and >= 0")
     p, q = lhs
     jobs: list[PolyzetaParams] = [p, q] + [term for term, _ in rhs.sorted_terms()]
     for params in jobs:

@@ -16,7 +16,6 @@ follow the same rule.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
@@ -116,47 +115,32 @@ def _zero_bracket(a: Letter, b: Letter) -> BracketResult:
     return None
 
 
-def _stuffle_fn(a: Indexed, b: Indexed) -> BracketResult:
-    if a.family != b.family:
-        raise AlphabetMismatchError(
-            f"cannot contract letters from families {a.family!r} and {b.family!r}")
-    return (1, Indexed(a.index + b.index, a.family))
+def _index_sum(sign: int) -> Callable[[Indexed, Indexed], BracketResult]:
+    """Contraction on indexed letters of one family: indices add and the
+    coefficient is ``sign``."""
+
+    def fn(a: Indexed, b: Indexed) -> BracketResult:
+        if a.family != b.family:
+            raise AlphabetMismatchError(
+                f"cannot contract letters from families {a.family!r} and {b.family!r}")
+        return (sign, Indexed(a.index + b.index, a.family))
+
+    return fn
 
 
-def _minus_stuffle_fn(a: Indexed, b: Indexed) -> BracketResult:
-    if a.family != b.family:
-        raise AlphabetMismatchError(
-            f"cannot contract letters from families {a.family!r} and {b.family!r}")
-    return (-1, Indexed(a.index + b.index, a.family))
+def _value_product(a: MonoidLetter, b: MonoidLetter) -> BracketResult:
+    return (1, MonoidLetter(a.value * b.value))
 
 
-def mulstuffle_bracket(combine: Callable = operator.mul,
-                       name: str = "mulstuffle") -> Bracket:
-    """Contraction bracket on monoid-indexed letters; the monoid operation
-    is pluggable (default: multiplication, e.g. of nonzero rationals)."""
-
-    def fn(a: MonoidLetter, b: MonoidLetter) -> BracketResult:
-        return (1, MonoidLetter(combine(a.value, b.value)))
-
-    return Bracket(name, fn, kinds=("monoid",))
-
-
-def duffle_bracket(combine: Callable = operator.mul,
-                   name: str = "duffle") -> Bracket:
-    """Pairwise contraction on the paired alphabet: indices add, monoid
-    parts combine (default: multiply)."""
-
-    def fn(a: PairLetter, b: PairLetter) -> BracketResult:
-        return (1, PairLetter(a.index + b.index, combine(a.value, b.value)))
-
-    return Bracket(name, fn, kinds=("pair",))
+def _pair_contraction(a: PairLetter, b: PairLetter) -> BracketResult:
+    return (1, PairLetter(a.index + b.index, a.value * b.value))
 
 
 SHUFFLE = Bracket("shuffle", _zero_bracket, kinds=None)
-STUFFLE = Bracket("stuffle", _stuffle_fn, kinds=("indexed",))
-MINUS_STUFFLE = Bracket("minusstuffle", _minus_stuffle_fn, kinds=("indexed",))
-MULSTUFFLE = mulstuffle_bracket()
-DUFFLE = duffle_bracket()
+STUFFLE = Bracket("stuffle", _index_sum(1), kinds=("indexed",))
+MINUS_STUFFLE = Bracket("minusstuffle", _index_sum(-1), kinds=("indexed",))
+MULSTUFFLE = Bracket("mulstuffle", _value_product, kinds=("monoid",))
+DUFFLE = Bracket("duffle", _pair_contraction, kinds=("pair",))
 
 PRODUCTS: dict[str, Bracket] = {
     br.name: br for br in (SHUFFLE, STUFFLE, MINUS_STUFFLE, MULSTUFFLE, DUFFLE)
@@ -181,9 +165,3 @@ def mulstuffle(left, right) -> Polynomial:
 
 def duffle(left, right) -> Polynomial:
     return star(DUFFLE, left, right)
-
-
-def monoid_exponents_bracket() -> Bracket:
-    """Mulstuffle over the additive-integer monoid (exponents of a fixed
-    root of unity)."""
-    return mulstuffle_bracket(operator.add, name="mulstuffle+")

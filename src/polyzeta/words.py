@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AlphabetMismatchError
 from .scalars import Color, ExactColor, Real, color_sort_key
@@ -268,16 +268,6 @@ def concat(u: Word, v: Word) -> Word:
     return Word._make(u.letters + v.letters, u.kind, u.exact and v.exact)
 
 
-def weight(w: Word, wt: Callable[[Letter], int]) -> int:
-    """Sum of letter weights; the empty word has weight 0."""
-    return sum(wt(letter) for letter in w.letters)
-
-
-def index_weight(letter: Letter) -> int:
-    """The usual grading on index-carrying letters."""
-    return letter.index
-
-
 def _merge(data: dict, items) -> dict:
     """Add ``(key, coefficient)`` pairs into ``data`` in place, deleting
     keys whose coefficients cancel; returns ``data``."""
@@ -377,9 +367,6 @@ class Combination:
     def sorted_terms(self) -> list:
         """Terms in the deterministic order of their keys."""
         return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def coefficient_sum(self):
-        return sum(self.terms.values())
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.terms)

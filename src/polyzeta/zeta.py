@@ -51,7 +51,8 @@ class PolyzetaParams:
     def __post_init__(self):
         if not (len(self.s) == len(self.xi) == len(self.t)):
             raise ValueError("s, xi and t must have equal lengths")
-        if any(not isinstance(si, int) or si < 1 for si in self.s):
+        if any(not isinstance(si, int) or isinstance(si, bool) or si < 1
+               for si in self.s):
             raise ValueError("exponents must be positive integers")
         if any(c == 0 for c in self.xi):
             raise ValueError("colors must be nonzero")
@@ -64,12 +65,7 @@ class PolyzetaParams:
     @classmethod
     def of(cls, s: Iterable[int], xi: Iterable[Color],
            t: Iterable[Real]) -> "PolyzetaParams":
-        return cls(tuple(int(v) for v in s), tuple(xi),
-                   tuple(_as_shift(v) for v in t))
-
-    @classmethod
-    def unit(cls) -> "PolyzetaParams":
-        return cls()
+        return cls(tuple(s), tuple(xi), tuple(_as_shift(v) for v in t))
 
     @property
     def depth(self) -> int:
@@ -195,8 +191,6 @@ def decode(w: Word) -> PolyzetaParams:
         if prev is None:
             xi.append(c)
         else:
-            if c == 0 or prev == 0:
-                raise ShapeError("zero cumulative color in encoded word")
             xi.append(c / prev)
         prev = c
     return PolyzetaParams(tuple(s), tuple(xi), tbar_inverse(tbs))

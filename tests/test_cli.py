@@ -211,8 +211,21 @@ ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
      "--nmax", "1"),
     # JSON 1e999 parses to inf
     ("eval", "--params", '{"s": [2], "xi": [1], "t": [-1e999]}'),
+    ("eval", "--params", ZETA2, "--tol", "inf"),
+    ("eval", "--params", ZETA2, "--tol", "nan"),
+    ("verify", "--mode", "shuffle", "--left", ZETA2, "--right", ZETA2,
+     "--tol", "inf"),
+    ("verify", "--mode", "shuffle", "--left", ZETA2, "--right", ZETA2,
+     "--tol", "nan"),
+    ("eval", "--params", '{"s": [2.5], "xi": [1], "t": [0]}'),
+    ("eval", "--params", '{"s": [true], "xi": [1], "t": [0]}'),
+    ("eval", "--params", '{"s": ["2"], "xi": [1], "t": [0]}'),
+    ("expand", "--product", "stuffle", "--right", yw(2), "--left",
+     '[{"kind": "indexed", "family": "y", "index": 1.7}]'),
 ), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
-        "verify-nmax-1", "non-finite-shift"))
+        "verify-nmax-1", "non-finite-shift", "eval-tol-inf", "eval-tol-nan",
+        "verify-tol-inf", "verify-tol-nan", "float-exponent",
+        "bool-exponent", "string-exponent", "float-letter-index"))
 def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -33,7 +33,8 @@ def test_coproduct_lemma_identity():
         w = Word(letters[1:])
         a = letters[0]
         lhs = coproduct(w.prepended(a))
-        rhs = (coproduct(w).left_prepended(a)
+        rhs = (TensorPolynomial({(u.prepended(a), v): c
+                                 for (u, v), c in coproduct(w).terms.items()})
                + TensorPolynomial({(EMPTY_WORD, w.prepended(a)): 1}))
         assert lhs == rhs
 

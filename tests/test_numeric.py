@@ -94,7 +94,7 @@ def test_eval_rejects_divergent_input():
 
 
 def test_eval_depth_zero():
-    res = eval_di(PolyzetaParams.unit())
+    res = eval_di(PolyzetaParams())
     assert res.value == 1 and res.converged and res.error_estimate == 0
 
 
@@ -172,7 +172,7 @@ def test_eval_non_doubling_mode():
 
 def test_verify_trivial_unit_relation():
     p = P((2,), (F(1, 2),), (0,))
-    rep = verify_relation((p, PolyzetaParams.unit()), LinComb.monomial(p))
+    rep = verify_relation((p, PolyzetaParams()), LinComb.monomial(p))
     assert rep.ok and rep.residual < 1e-14
 
 
@@ -247,8 +247,8 @@ def test_verify_detects_wrong_expansion():
 def test_result_types():
     res = eval_di(P((2,), (F(1, 2),), (0,)))
     assert isinstance(res, EvalResult)
-    rep = verify_relation((PolyzetaParams.unit(), PolyzetaParams.unit()),
-                          LinComb.monomial(PolyzetaParams.unit()))
+    rep = verify_relation((PolyzetaParams(), PolyzetaParams()),
+                          LinComb.monomial(PolyzetaParams()))
     assert isinstance(rep, VerifyReport)
     assert rep.residual == 0
 
@@ -262,3 +262,19 @@ def test_verify_fails_unconverged_evaluations():
     assert not rep.converged
     assert rep.residual <= rep.tolerance
     assert not rep.ok
+
+
+@pytest.mark.parametrize("tol", (math.inf, math.nan))
+def test_eval_config_refuses_non_finite_tolerance(tol):
+    with pytest.raises(ValueError):
+        EvalConfig(tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", (math.inf, math.nan, -1e-3))
+def test_verify_refuses_non_finite_residual_tolerance(tol):
+    # a wrong identity: an infinite tolerance used to pass it
+    a = P((2,), (F(1, 2),), (0,))
+    b = P((3,), (F(1, 3),), (0,))
+    wrong = LinComb.monomial(P((2,), (F(1, 5),), (0,)))
+    with pytest.raises(ValueError):
+        verify_relation((a, b), wrong, residual_tolerance=tol)

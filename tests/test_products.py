@@ -6,6 +6,7 @@ import pytest
 
 from oracles import star_oracle
 from polyzeta.errors import AlphabetMismatchError
+from polyzeta.hopf import check_antipode, check_bialgebra, default_alphabet
 from polyzeta.products import (DUFFLE, MINUS_STUFFLE, MULSTUFFLE, PRODUCTS,
                                SHUFFLE, STUFFLE, Bracket, duffle,
                                minus_stuffle, mulstuffle, shuffle, star,
@@ -164,7 +165,7 @@ def test_shuffle_term_count_is_binomial():
         nu, nv = rng.randint(0, 4), rng.randint(0, 4)
         u = Word(x(rng.randint(0, 2)) for _ in range(nu))
         v = Word(x(rng.randint(0, 2)) for _ in range(nv))
-        assert shuffle(u, v).coefficient_sum() == comb(nu + nv, nu)
+        assert sum(shuffle(u, v).terms.values()) == comb(nu + nv, nu)
 
 
 def test_quasi_product_grading():
@@ -191,16 +192,36 @@ def test_length_bounds():
                 assert max(len(u), len(v)) <= len(w) <= len(u) + len(v)
 
 
+def _add_exponents(a, b):
+    return (1, MonoidLetter(a.value + b.value))
+
+
+def exponents_bracket():
+    """Mulstuffle over the additive-integer monoid (exponents of a fixed
+    root of unity), built as a custom bracket."""
+    return Bracket("mulstuffle+", _add_exponents, kinds=("monoid",))
+
+
 def test_additive_monoid_variant():
     # monoid letters as exponents of a fixed root of unity: indices add
-    from polyzeta.products import monoid_exponents_bracket
-    br = monoid_exponents_bracket()
+    br = exponents_bracket()
     got = star(br, word(MonoidLetter(2)), word(MonoidLetter(3)))
     assert got == Polynomial([
         (word(MonoidLetter(2), MonoidLetter(3)), 1),
         (word(MonoidLetter(3), MonoidLetter(2)), 1),
         (word(MonoidLetter(5)), 1),
     ])
+
+
+def test_custom_bracket_passes_the_hopf_checks():
+    br = exponents_bracket()
+    alphabet = (MonoidLetter(1), MonoidLetter(2), MonoidLetter(-3))
+    rep = check_bialgebra(br, 4, alphabet)
+    assert rep.ok and rep.checked == sum((t + 1) * 3**t for t in range(5))
+    rep = check_antipode(br, 4, alphabet)
+    assert rep.ok and rep.checked == sum(3**n for n in range(5))
+    with pytest.raises(ValueError, match="no default alphabet"):
+        default_alphabet(br)
 
 
 def _bracket_closure(br, letters, depth=2):

@@ -108,6 +108,24 @@ def test_report_and_result_payloads_are_json():
     res = eval_di(PolyzetaParams.of((2,), (F(1, 2),), (0,)))
     json.dumps(eval_result_to_json(res))
     vrep = verify_relation(
-        (PolyzetaParams.unit(), PolyzetaParams.unit()),
-        LinComb.monomial(PolyzetaParams.unit()), EvalConfig())
+        (PolyzetaParams(), PolyzetaParams()),
+        LinComb.monomial(PolyzetaParams()), EvalConfig())
     json.dumps(verify_report_to_json(vrep))
+
+
+@pytest.mark.parametrize("s", ([2.5], [2.0], [True], ["2"]))
+def test_params_reader_accepts_only_integer_exponents(s):
+    with pytest.raises(ParseError):
+        params_from_json({"s": s, "xi": [1], "t": [0]})
+
+
+@pytest.mark.parametrize("letter", (
+    {"kind": "indexed", "family": "y", "index": 1.7},
+    {"kind": "indexed", "index": True},
+    {"kind": "indexed", "index": "3"},
+    {"kind": "pair", "index": 1.0, "value": "1/2"},
+    {"kind": "pair", "index": True, "value": 1},
+))
+def test_letter_reader_accepts_only_integer_indices(letter):
+    with pytest.raises(ParseError):
+        letter_from_json(letter)

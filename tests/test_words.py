@@ -4,8 +4,7 @@ import pytest
 
 from polyzeta.errors import AlphabetMismatchError
 from polyzeta.words import (EMPTY_WORD, Indexed, MonoidLetter, PairLetter,
-                            Polynomial, X0, XForm, concat, index_weight,
-                            weight, word, x, y)
+                            Polynomial, X0, XForm, concat, word, x, y)
 
 
 def test_letter_invariants():
@@ -84,13 +83,6 @@ def test_coeff_linearity():
     a, b = F(2), F(-5, 7)
     combo = a * p + b * q
     assert combo.coeff(w) == a * p.coeff(w) + b * q.coeff(w)
-
-
-def test_weight():
-    wt = index_weight
-    assert weight(word(y(3), y(1)), wt) == 4
-    assert weight(EMPTY_WORD, wt) == 0
-    assert weight(word(y(5), y(1)), wt) == 6
 
 
 def test_word_slicing_and_prepending():
