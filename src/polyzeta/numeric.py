@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DivergenceError
 from .zeta import LinComb, PolyzetaParams, duffle_index
@@ -85,24 +85,21 @@ def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], objec
     for v in xi:
         c = c * v
         cumulative.append(c)
-    # acc[i] carries the geometrically weighted prefix sum feeding level i+1
-    acc = [0] * (r - 1)
+    # acc[i] (i < r-1) carries the geometrically weighted prefix sum feeding
+    # level i+1; acc[r-1] is the partial sum
+    acc = [0] * r
     cpow = 1
-    total = 0
-    levels = list(range(r - 2, -1, -1))
+    levels = range(r - 2, -1, -1)
     for k in range(1, n):
         lv = lam(k)
         cpow = cpow * cumulative[r - 1]
-        h = [0] * r
-        h[r - 1] = cpow * lv ** s[r - 1]
+        h = cpow * lv ** s[r - 1]
         for i in levels:
             a = acc[i]
-            if a != 0:
-                h[i] = a * lv ** s[i]
-        total = total + h[0]
-        for i in range(r - 1):
-            acc[i] = cumulative[i] * (acc[i] + h[i + 1])
-    return total
+            acc[i] = cumulative[i] * (a + h)
+            h = a * lv ** s[i] if a != 0 else 0
+        acc[r - 1] = acc[r - 1] + h
+    return acc[r - 1]
 
 
 def check_prop_M(s: Sequence[int], xi: Sequence, r: Sequence[int],
@@ -118,35 +115,11 @@ def check_prop_M(s: Sequence[int], xi: Sequence, r: Sequence[int],
     return lhs == rhs
 
 
-class _Kahan:
-    """Neumaier-compensated accumulator over complex values; supports the
-    geometric rescaling used by the level recursion."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0j
-        self.comp = 0j
-
-    def add(self, value: complex) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.comp += (self.total - t) + value
-        else:
-            self.comp += (value - t) + self.total
-        self.total = t
-
-    def scale(self, factor: complex) -> None:
-        self.total *= factor
-        self.comp *= factor
-
-    @property
-    def value(self) -> complex:
-        return self.total + self.comp
-
-
-class _SeriesEngine:
-    """Column-wise dynamic program for one parameter set.
+def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
+                  ) -> Iterator[tuple[complex, complex, float]]:
+    """Column-wise dynamic program for one parameter set; at each of the
+    increasing ``cutoffs`` it yields the partial sum below it, the last
+    column and the sum of |column| (the scale of the rounding error).
 
     Column k contributes H_1(k), where
 
@@ -155,52 +128,52 @@ class _SeriesEngine:
         acc_i(k) = sum over j < k of c_i^(k - j) H_(i+1)(j),
 
     maintained incrementally via acc_i <- c_i (acc_i + H_(i+1)). All
-    factors have modulus <= 1 under the convergence hypothesis.
+    factors have modulus <= 1 under the convergence hypothesis. Every
+    accumulator is a Neumaier-compensated pair (acc, comp); slot r-1 holds
+    the partial sum and is never rescaled.
     """
-
-    __slots__ = ("c", "s", "t", "r", "acc", "cpow", "total", "columns", "last",
-                 "mass")
-
-    def __init__(self, p: PolyzetaParams):
-        self.c = [complex(v) for v in p.cumulative_colors()]
-        self.s = p.s
-        self.t = [float(v) for v in p.t]
-        self.r = p.depth
-        self.acc = [_Kahan() for _ in range(self.r - 1)]
-        self.cpow = 1 + 0j
-        self.total = _Kahan()
-        self.columns = 0
-        self.last = 0j
-        self.mass = 0.0  # sum of |column|, the scale of the rounding error
-
-    def run_until(self, cutoff: int) -> None:
-        """Advance so that ``total`` equals the partial sum below ``cutoff``."""
-        r = self.r
-        s = self.s
-        t = self.t
-        c = self.c
-        acc = self.acc
-        h = [0j] * r
-        cpow, mass, add = self.cpow, self.mass, self.total.add
-        for k in range(self.columns + 1, cutoff):
-            cpow *= c[r - 1]
-            h[r - 1] = cpow / (k - t[r - 1]) ** s[r - 1]
-            for i in range(r - 2, -1, -1):
-                h[i] = acc[i].value / (k - t[i]) ** s[i]
-            add(h[0])
-            mass += abs(h[0])
-            for i in range(r - 1):
+    c = [complex(v) for v in p.cumulative_colors()]
+    s = p.s
+    t = [float(v) for v in p.t]
+    r = p.depth
+    acc = [0j] * r
+    comp = [0j] * r
+    cr, sr, tr = c[r - 1], s[r - 1], t[r - 1]
+    levels = range(r - 2, -1, -1)
+    cpow = 1 + 0j
+    h = 0j
+    mass = 0.0
+    start = 1
+    for cutoff in cutoffs:
+        for k in range(start, cutoff):
+            cpow *= cr
+            h = cpow / (k - tr) ** sr
+            for i in levels:
                 a = acc[i]
-                a.add(h[i + 1])
-                a.scale(c[i])
-        if cutoff - 1 > self.columns:
-            self.last = h[0]
-        self.columns = cutoff - 1
-        self.cpow, self.mass = cpow, mass
+                hi = (a + comp[i]) / (k - t[i]) ** s[i]
+                u = a + h
+                if abs(a) >= abs(h):
+                    comp[i] = (comp[i] + ((a - u) + h)) * c[i]
+                else:
+                    comp[i] = (comp[i] + ((h - u) + a)) * c[i]
+                acc[i] = u * c[i]
+                h = hi
+            a = acc[r - 1]
+            u = a + h
+            if abs(a) >= abs(h):
+                comp[r - 1] += (a - u) + h
+            else:
+                comp[r - 1] += (h - u) + a
+            acc[r - 1] = u
+            mass += abs(h)
+        start = cutoff
+        yield acc[r - 1] + comp[r - 1], h, mass
 
 
-def _tail_estimate(p: PolyzetaParams, engine: _SeriesEngine, cutoff: int) -> float:
-    """Analytic tail estimate past the cutoff.
+def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
+                   cutoff: int) -> float:
+    """Analytic tail estimate past the cutoff, given the last column and
+    the summed column magnitudes below it.
 
     Geometric when every cumulative color has modulus < 1. The polynomial
     regime bounds the depth-1 tail sum over k >= cutoff of (k - t1)^(-s1)
@@ -215,13 +188,13 @@ def _tail_estimate(p: PolyzetaParams, engine: _SeriesEngine, cutoff: int) -> flo
     q = max(moduli)
     if q < 1:
         qf = float(q)
-        return abs(engine.last) * qf / (1.0 - qf)
+        return abs(last) * qf / (1.0 - qf)
     s1 = p.s[0]
     if s1 > 1:
         tail = ((cutoff - 1 - float(p.t[0])) ** (1 - s1)
                 * (1.0 + math.log(cutoff)) ** (p.depth - 1) / (s1 - 1))
-        return tail + (p.weight + 2 * p.depth) * _EPS * engine.mass
-    return abs(engine.last)
+        return tail + (p.weight + 2 * p.depth) * _EPS * mass
+    return abs(last)
 
 
 def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -240,18 +213,16 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
 
-    engine = _SeriesEngine(p)
-    cutoff = cfg.n_start
-    engine.run_until(cutoff)
-    value = engine.total.value
-    err = _tail_estimate(p, engine, cutoff) + abs(engine.last)
-    while err > cfg.tolerance and cutoff < cfg.n_max:
+    cutoffs = [cfg.n_start]
+    while cutoffs[-1] < cfg.n_max:
+        cutoffs.append(min(2 * cutoffs[-1], cfg.n_max))
+    previous = None
+    for cutoff, (value, last, mass) in zip(cutoffs, _partial_sums(p, cutoffs)):
+        step = abs(last) if previous is None else abs(value - previous)
+        err = step + _tail_estimate(p, last, mass, cutoff)
+        if err <= cfg.tolerance:
+            break
         previous = value
-        cutoff = min(2 * cutoff, cfg.n_max)
-        engine.run_until(cutoff)
-        value = engine.total.value
-        increment = abs(value - previous)
-        err = increment + _tail_estimate(p, engine, cutoff)
     return EvalResult(value, err, cutoff, err <= cfg.tolerance)
 
 

@@ -55,8 +55,9 @@ class Indexed:
     exact = True
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("index must be >= 0")
+        i = self.index
+        if type(i) is not int or i < 0:
+            raise ValueError(f"index must be an integer >= 0, got {i!r}")
 
     def pretty(self) -> str:
         return self.family + _subscript(self.index)
@@ -91,8 +92,9 @@ class PairLetter:
     exact = property(_value_is_exact)
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("pair index must be >= 1")
+        i = self.index
+        if type(i) is not int or i < 1:
+            raise ValueError(f"pair index must be an integer >= 1, got {i!r}")
 
     def pretty(self) -> str:
         return "(y%s,e%s)" % (_subscript(self.index), _subscript(self.value))

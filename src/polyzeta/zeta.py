@@ -185,15 +185,16 @@ def decode(w: Word) -> PolyzetaParams:
             colors.append(letter.color)
             tbs.append(letter.tbar)
             run = 0
-    xi: list[Color] = []
-    prev: Optional[Color] = None
-    for c in colors:
-        if prev is None:
-            xi.append(c)
-        else:
-            xi.append(c / prev)
-        prev = c
+    xi = colors[:1] + [_ratio(c, prev) for prev, c in zip(colors, colors[1:])]
     return PolyzetaParams(tuple(s), tuple(xi), tbar_inverse(tbs))
+
+
+def _ratio(c: Color, prev: Color) -> Color:
+    """c / prev; a ratio of ints stays exact (an int when it divides)."""
+    if isinstance(c, int) and isinstance(prev, int):
+        q = Fraction(c, prev)
+        return q.numerator if q.denominator == 1 else q
+    return c / prev
 
 
 def shuffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:

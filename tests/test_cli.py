@@ -91,6 +91,41 @@ def test_encode_decode_round_trip(capsys):
     assert got["t"] == ["1/5", "0/1"]
 
 
+def test_zeta_expand_keeps_integer_colors_exact(capsys):
+    code, out, _ = run(capsys, "zeta-expand", "--mode", "shuffle",
+                       "--left", '{"s":[2],"xi":[1],"t":[0]}',
+                       "--right", '{"s":[2],"xi":[-1],"t":[0]}')
+    assert code == 0
+    assert [item["params"]["xi"] for item in json.loads(out)] == [
+        [-1, -1], [1, -1], [-1, -1], [1, -1]]
+    assert "-1.0" not in out
+
+
+POLAR_LEFT = json.dumps([{"kind": "x0"},
+                         {"kind": "xform", "color": {"q": 1, "n": 3},
+                          "tbar": "1/2"}])
+POLAR_RIGHT = json.dumps([{"kind": "xform",
+                           "color": {"q": 2, "n": 3, "mag": "1/2"},
+                           "tbar": 0}])
+
+
+def test_expand_encoded_words_with_polar_colors(capsys):
+    # terms are ordered by the form letters' sort keys
+    code, out, _ = run(capsys, "expand", "--product", "shuffle",
+                       "--left", POLAR_LEFT, "--right", POLAR_RIGHT)
+    assert code == 0
+    a, b, x0 = (json.loads(POLAR_LEFT)[1], json.loads(POLAR_RIGHT)[0],
+                {"kind": "x0"})
+    assert [(item["coeff"], item["word"]) for item in json.loads(out)] == [
+        (1, [x0, a, b]), (1, [x0, b, a]), (1, [b, x0, a])]
+    code, out, _ = run(capsys, "expand", "--product", "shuffle",
+                       "--left", POLAR_LEFT, "--right", POLAR_RIGHT,
+                       "--format", "pretty")
+    assert code == 0
+    a, b = "x_{1*e^(2*pi*i*1/3);1/2}", "x_{1/2*e^(2*pi*i*2/3);0}"
+    assert out == f"x₀{a}{b} + x₀{b}{a} + {b}x₀{a}\n"
+
+
 def test_zeta_expand_duffle_worked_example(capsys):
     left = {"s": [3, 1], "xi": ["2/3", "-1"], "t": [0, 0]}
     right = {"s": [2], "xi": ["1/2"], "t": [0]}

@@ -9,6 +9,7 @@ from polyzeta.errors import DivergenceError
 from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
                               check_prop_M, eval_di, partial_M,
                               verify_relation)
+from polyzeta.scalars import root_of_unity
 from polyzeta.zeta import (LinComb, PolyzetaParams, duffle_expand,
                            shuffle_expand)
 
@@ -170,6 +171,32 @@ def test_eval_non_doubling_mode():
     assert abs(res.value - oracle) < 1e-13
 
 
+_W3 = root_of_unity(1, 3)
+
+
+@pytest.mark.parametrize("p, cfg, expected", [
+    # s1 = 1 with a unit-modulus prefix: the last-column fallback tail
+    (P((1, 2), (F(1, 2), 2), (0, 0)), EvalConfig(n_max=2**14),
+     ("(0.5082152109416228+0j)", 5.591082361012277e-09, 2**14, False)),
+    # zeta(2) at one fixed cutoff
+    (P((2,), (1,), (0,)), EvalConfig(n_start=2**12, n_max=2**12),
+     ("(1.6446898964184786+0j)", 0.00024425987796097246, 2**12, False)),
+    # cube roots of unity: polynomial tail plus rounding term
+    (P((3, 1, 2), (1, _W3, _W3 * _W3), (F(1, 3), F(-1, 2), 0)),
+     EvalConfig(n_max=2**13),
+     ("(-0.025366927686178438+0.026980105215045954j)",
+      7.547768059228524e-07, 2**13, False)),
+    # geometric tail, converged at the first cutoff
+    (P((2, 1), (F(-2, 3), F(1, 2)), (F(1, 5), F(-1, 3))), EvalConfig(),
+     ("(0.038226604194245895+0j)", 1.1272711104236649e-186, 2**10, True)),
+])
+def test_eval_golden_values(p, cfg, expected):
+    # bit-exact pins: any change to the summation order shows up here
+    res = eval_di(p, cfg)
+    assert (repr(res.value), res.error_estimate, res.n_used,
+            res.converged) == expected
+
+
 def test_verify_trivial_unit_relation():
     p = P((2,), (F(1, 2),), (0,))
     rep = verify_relation((p, PolyzetaParams()), LinComb.monomial(p))
@@ -219,7 +246,6 @@ def test_verify_deep_expansions():
 
 
 def test_verify_with_exact_polar_colors():
-    from polyzeta.scalars import root_of_unity
     p = P((2,), (F(1, 2) * root_of_unity(1, 3),), (F(1, 5),))
     q = P((3,), (F(3, 4) * root_of_unity(5, 7),), (F(-1, 3),))
     rep = verify_relation((p, q), shuffle_expand(p, q),

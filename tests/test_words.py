@@ -12,6 +12,11 @@ def test_letter_invariants():
         Indexed(-1)
     with pytest.raises(ValueError):
         PairLetter(0, F(1, 2))
+    for index in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError):
+            Indexed(index, "y")
+        with pytest.raises(ValueError):
+            PairLetter(index, 2)
     with pytest.raises(ValueError):
         XForm(0, F(1, 2))
     assert X0() == X0()

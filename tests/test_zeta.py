@@ -116,10 +116,24 @@ def test_roundtrip_random_params():
 
 
 def test_roundtrip_with_exact_polar_colors():
+    # decoding divides cumulative colors: ExactColor / ExactColor, then
+    # ExactColor / Fraction, then Fraction / ExactColor
     w = root_of_unity(1, 3)
-    p = P((2, 1), (F(1, 2) * w, w), (F(0), F(0)))
-    assert p.satisfies_condition_e()
-    assert decode(encode(p)) == p
+    for xi in ((F(1, 2) * w, w), (F(1, 2), w), (w, w * w)):
+        p = P((2, 1), xi, (F(0), F(0)))
+        assert p.satisfies_condition_e()
+        assert decode(encode(p)) == p
+
+
+@pytest.mark.parametrize("colors, expected", (((-1, 1), (-1, -1)),
+                                              ((2, 6), (2, 3)),
+                                              ((2, 3), (2, F(3, 2)))))
+def test_decode_keeps_integer_colors_exact(colors, expected):
+    # integer cumulative colors: a ratio that divides stays an int, any
+    # other one becomes a Fraction
+    got = decode(word(*(XForm(c, 0) for c in colors))).xi
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_shuffle_expand_worked_example():
