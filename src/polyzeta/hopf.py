@@ -49,11 +49,11 @@ class TensorPolynomial(Combination):
 
 
 def coproduct(w: Union[Word, Polynomial]) -> TensorPolynomial:
-    """Sum of all deconcatenation splittings u (x) v with uv = w,
-    extended linearly to polynomials."""
+    """Sum of all deconcatenation splittings u (x) v with uv = w, extended
+    linearly to polynomials; (u, v) determines uv, so none collide."""
     terms = w.terms.items() if isinstance(w, Polynomial) else ((w, 1),)
-    return TensorPolynomial(((wd[:i], wd[i:]), c)
-                            for wd, c in terms for i in range(len(wd) + 1))
+    return TensorPolynomial._raw({(wd[:i], wd[i:]): c for wd, c in terms
+                                  for i in range(len(wd) + 1)})
 
 
 def counit(s: Union[Word, Polynomial]):
@@ -178,21 +178,20 @@ def check_bialgebra(br: Bracket, maxlen: int,
         raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     if alphabet is None:
         alphabet = default_alphabet(br)
+    by_len = [[(w, coproduct(w)) for w in _words_of_length(alphabet, n)]
+              for n in range(maxlen + 1)]
     checked = 0
     for total in range(maxlen + 1):
         for n1 in range(total + 1):
-            for w1 in _words_of_length(alphabet, n1):
-                cop1 = coproduct(w1)
-                for w2 in _words_of_length(alphabet, total - n1):
+            for w1, cop1 in by_len[n1]:
+                for w2, cop2 in by_len[total - n1]:
                     prod = star(br, w1, w2)
                     checked += 1
                     if prod != star(br, w2, w1):
                         return CheckReport(
                             "bialgebra-commutativity", False, checked,
                             {"left": w1, "right": w2})
-                    lhs = cop1.star(br, coproduct(w2))
-                    rhs = coproduct(prod)
-                    if lhs != rhs:
+                    if cop1.star(br, cop2) != coproduct(prod):
                         return CheckReport(
                             "bialgebra-compatibility", False, checked,
                             {"left": w1, "right": w2})

@@ -7,11 +7,10 @@ letter)`` pair for a contraction; the recursion is
 
     au * bv  =  a (u * bv)  +  b (au * v)  +  [a, b] (u * v)
 
-extended bilinearly, with the empty word as unit. Expansions of exact
-word pairs are memoized per bracket; a query on a word carrying a float
-or complex scalar gets a table private to it, since letters carrying 0.5
-and Fraction(1, 2) are equal and hash alike. The antipodes in ``hopf``
-follow the same rule.
+extended bilinearly, with the empty word as unit. Each bracket memoizes its
+pairing on letter-id pairs and the expansions of exact word pairs (a query
+on a word carrying a float or complex scalar gets a private table), as the
+antipodes in ``hopf`` do; these tables grow for the life of the process.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
-from .words import Indexed, Letter, MonoidLetter, PairLetter, Polynomial, Word
+from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
+                    Word, _word)
 
 BracketResult = Optional[tuple[object, Letter]]
 
@@ -32,23 +32,32 @@ class Bracket:
     accepts any kind (the pairing never inspects the letters).
     """
 
-    __slots__ = ("name", "fn", "kinds", "_star_memo", "_antipode_memo",
-                 "_antipode_rec_memo")
+    __slots__ = ("name", "fn", "kinds", "_table", "_star_memo",
+                 "_antipode_memo", "_antipode_rec_memo")
 
     def __init__(self, name: str, fn: Callable[[Letter, Letter], BracketResult],
                  kinds: Optional[tuple[str, ...]] = None):
         self.name = name
         self.fn = fn
         self.kinds = kinds
+        self._table: dict = {}
         self._star_memo: dict = {}
         self._antipode_memo: dict = {}
         self._antipode_rec_memo: dict = {}
 
     def apply(self, a: Letter, b: Letter) -> BracketResult:
+        key = (a._id, b._id)
+        if key in self._table:
+            return self._table[key]
         if self.kinds is not None and a.kind not in self.kinds:
             raise AlphabetMismatchError(
                 f"bracket {self.name!r} is undefined on {a.kind!r} letters")
-        return self.fn(a, b)
+        res = self.fn(a, b)
+        if res is not None and res[1].kind != a.kind:
+            raise AlphabetMismatchError(
+                f"bracket {self.name!r} leaves the {a.kind!r} alphabet")
+        self._table[key] = res
+        return res
 
     def __repr__(self) -> str:
         return f"Bracket({self.name!r})"
@@ -63,34 +72,38 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
 
 
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
-    key = (u, v)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if not u.letters:
-        res = {v: 1}
-    elif not v.letters:
-        res = {u: 1}
-    else:
-        a, b = u.letters[0], v.letters[0]
-        acc: dict = {}
-        for rest, head in ((_expand(memo, br, u[1:], v), a),
-                           (_expand(memo, br, u, v[1:]), b)):
-            for w, c in rest.items():
-                nw = w.prepended(head)
-                prev = acc.get(nw)
-                acc[nw] = c if prev is None else prev + c
-        pair = br.apply(a, b)
+    """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
+    reaches and that it lacks, children first, on an explicit stack."""
+    if u and v and u.kind != v.kind:
+        raise AlphabetMismatchError(
+            f"cannot multiply a {u.kind!r} word by a {v.kind!r} word")
+    us = [u[i:] for i in range(len(u) + 1)]
+    vs = [v[j:] for j in range(len(v) + 1)]
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        key = (us[i], vs[j])
+        if key in memo:
+            continue
+        if i == len(u) or j == len(v):
+            memo[key] = {us[i] + vs[j]: 1}  # one factor is the unit
+            continue
+        pair = br.apply(u[i], v[j])
+        parts = [(i + 1, j, u._ids[i], 1), (i, j + 1, v._ids[j], 1)]
         if pair is not None:
-            factor, head = pair
-            for w, c in _expand(memo, br, u[1:], v[1:]).items():
-                nw = w.prepended(head)
-                c = factor * c
+            parts.append((i + 1, j + 1, pair[1]._id, pair[0]))
+        todo = [(k, l) for k, l, _, _ in parts if (us[k], vs[l]) not in memo]
+        if todo:
+            stack += [(i, j)] + todo
+            continue
+        acc: dict = {}
+        for k, l, head, factor in parts:
+            for w, c in memo[us[k], vs[l]].items():
+                nw = _word((head,) + w._ids)
                 prev = acc.get(nw)
-                acc[nw] = c if prev is None else prev + c
-        res = {w: c for w, c in acc.items() if c != 0}
-    memo[key] = res
-    return res
+                acc[nw] = factor * c if prev is None else prev + factor * c
+        memo[key] = {w: c for w, c in acc.items() if c != 0}
+    return memo[us[0], vs[0]]
 
 
 def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:

@@ -20,8 +20,11 @@ is a combination of words. Combinations are immutable values and
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AlphabetMismatchError
@@ -45,8 +48,43 @@ def _value_is_exact(letter) -> bool:
     return type(letter.value) in _EXACT_TYPES
 
 
+# Hash-cons tables, which only grow: letter key -> id, id -> first letter,
+# inexact ids, and id tuple -> word. A letter key hashes in Python code, so
+# interning takes the lock; dict.setdefault on a tuple of ints is atomic.
+_LETTER_IDS: dict = {}
+_LETTERS: list = []
+_INEXACT: set = set()
+_LETTER_LOCK = threading.Lock()
+_WORDS: dict = {}
+
+
+class _Letter:
+    """Base of the letter dataclasses: validates the fields, then interns
+    the letter. Equality and hash stay the dataclass ones, by value."""
+
+    __slots__ = ("_id",)
+
+    def _check(self):
+        pass
+
+    def __post_init__(self):
+        self._check()
+        key = (self, tuple(type(getattr(self, f)) for f in self.__match_args__))
+        with _LETTER_LOCK:
+            i = _LETTER_IDS.get(key)
+            if i is None:
+                i = _LETTER_IDS[key] = len(_LETTERS)
+                _LETTERS.append(self)
+                if not self.exact:
+                    _INEXACT.add(i)
+        object.__setattr__(self, "_id", i)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 @dataclass(frozen=True, slots=True)
-class Indexed:
+class Indexed(_Letter):
     """Letter indexed by a nonnegative integer, e.g. x0, x1 or y3."""
 
     index: int
@@ -54,7 +92,7 @@ class Indexed:
     kind = "indexed"
     exact = True
 
-    def __post_init__(self):
+    def _check(self):
         i = self.index
         if type(i) is not int or i < 0:
             raise ValueError(f"index must be an integer >= 0, got {i!r}")
@@ -67,7 +105,7 @@ class Indexed:
 
 
 @dataclass(frozen=True, slots=True)
-class MonoidLetter:
+class MonoidLetter(_Letter):
     """Letter indexed by an element of a commutative monoid."""
 
     value: object
@@ -82,7 +120,7 @@ class MonoidLetter:
 
 
 @dataclass(frozen=True, slots=True)
-class PairLetter:
+class PairLetter(_Letter):
     """Paired letter (index, monoid element); the paired-alphabet product
     contracts indices additively and values multiplicatively."""
 
@@ -91,7 +129,7 @@ class PairLetter:
     kind = "pair"
     exact = property(_value_is_exact)
 
-    def __post_init__(self):
+    def _check(self):
         i = self.index
         if type(i) is not int or i < 1:
             raise ValueError(f"pair index must be an integer >= 1, got {i!r}")
@@ -104,7 +142,7 @@ class PairLetter:
 
 
 @dataclass(frozen=True, slots=True)
-class X0:
+class X0(_Letter):
     """The integration-slot letter of the encoding alphabet."""
 
     kind = "encoded"
@@ -118,7 +156,7 @@ class X0:
 
 
 @dataclass(frozen=True, slots=True)
-class XForm:
+class XForm(_Letter):
     """Form letter of the encoding alphabet.
 
     Carries the *cumulative* color (the running product of the colors up to
@@ -131,7 +169,7 @@ class XForm:
     tbar: Real
     kind = "encoded"
 
-    def __post_init__(self):
+    def _check(self):
         if self.color == 0:
             raise ValueError("cumulative color must be nonzero")
 
@@ -165,90 +203,82 @@ class Word:
 
     Words form the free monoid: ``u + v`` concatenates, ``Word()`` is the
     two-sided unit (compatible with every kind). Slicing returns words.
-    ``exact`` holds when every scalar the letters carry is exact.
+    ``exact`` holds when every scalar the letters carry is exact. Words are
+    hash-consed: equality is identity, by letter value and value type.
     """
 
-    __slots__ = ("letters", "kind", "exact", "_hash")
+    __slots__ = ("_ids",)
 
-    def __init__(self, letters: Iterable[Letter] = ()):
+    def __new__(cls, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
-        kind = None
-        for letter in letters:
-            if kind is None:
-                kind = letter.kind
-            elif letter.kind != kind:
-                raise AlphabetMismatchError(
-                    f"word mixes alphabet kinds {kind!r} and {letter.kind!r}")
-        self.letters = letters
-        self.kind = kind
-        self.exact = all(letter.exact for letter in letters)
-        self._hash = hash(letters)
+        kinds = {letter.kind for letter in letters}
+        if len(kinds) > 1:
+            raise AlphabetMismatchError(f"word mixes kinds {sorted(kinds)}")
+        return _word(tuple(letter._id for letter in letters))
 
-    @classmethod
-    def _make(cls, letters: tuple, kind, exact: bool) -> "Word":
-        # internal fast path: letters already validated
-        w = object.__new__(cls)
-        w.letters = letters
-        w.kind = kind
-        w.exact = exact
-        w._hash = hash(letters)
-        return w
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    def __copy__(self, memo=None) -> "Word":
+        return self
+
+    __deepcopy__ = __copy__
+
+    @property
+    def letters(self) -> tuple:
+        return tuple(map(_LETTERS.__getitem__, self._ids))
+
+    @property
+    def kind(self):
+        return _LETTERS[self._ids[0]].kind if self._ids else None
+
+    @property
+    def exact(self) -> bool:
+        return _INEXACT.isdisjoint(self._ids)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return map(_LETTERS.__getitem__, self._ids)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            sub = self.letters[item]
-            return Word._make(sub, self.kind if sub else None, self.exact
-                              or all(letter.exact for letter in sub))
-        return self.letters[item]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+            return _word(self._ids[item])
+        return _LETTERS[self._ids[item]]
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
         return concat(self, other)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __repr__(self) -> str:
         return "Word(%s)" % (list(self.letters),)
 
     def prepended(self, letter: Letter) -> "Word":
-        if self.kind is not None and letter.kind != self.kind:
+        if self._ids and letter.kind != self.kind:
             raise AlphabetMismatchError(
                 f"cannot prepend {letter.kind!r} letter to {self.kind!r} word")
-        return Word._make((letter,) + self.letters, letter.kind,
-                          self.exact and letter.exact)
+        return _word((letter._id,) + self._ids)
 
     def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        return (len(self._ids), tuple(l.sort_key() for l in self))
 
     def pretty(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(self.letters):
-            j = i
-            while j < len(self.letters) and self.letters[j] == self.letters[i]:
-                j += 1
-            run = self.letters[i].pretty()
-            if j - i > 1:
-                run += str(j - i).translate(_SUP)
-            parts.append(run)
-            i = j
-        return "".join(parts)
+        runs = ((_LETTERS[i].pretty(), len(list(g)))
+                for i, g in groupby(self._ids))
+        return "".join(p + (str(n).translate(_SUP) if n > 1 else "")
+                       for p, n in runs) or "1"
+
+
+def _word(ids: tuple) -> Word:
+    """The canonical word for a tuple of letter ids."""
+    w = _WORDS.get(ids)
+    if w is None:
+        w = object.__new__(Word)
+        w._ids = ids
+        w = _WORDS.setdefault(ids, w)
+    return w
 
 
 EMPTY_WORD = Word()
@@ -260,14 +290,10 @@ def word(*letters: Letter) -> Word:
 
 def concat(u: Word, v: Word) -> Word:
     """Concatenation, the free-monoid product. Lengths add."""
-    if u.kind is not None and v.kind is not None and u.kind != v.kind:
+    if u._ids and v._ids and u.kind != v.kind:
         raise AlphabetMismatchError(
             f"cannot concatenate {u.kind!r} word with {v.kind!r} word")
-    if not u.letters:
-        return v
-    if not v.letters:
-        return u
-    return Word._make(u.letters + v.letters, u.kind, u.exact and v.exact)
+    return _word(u._ids + v._ids)
 
 
 def _merge(data: dict, items) -> dict:
@@ -300,20 +326,22 @@ class Combination:
     Stored as a key -> coefficient map with no zero coefficients, so
     structural equality is semantic equality. Coefficients may be any
     scalars supporting ``+``, ``*`` and comparison with 0. Combinations of
-    different classes never compare equal. The map is shared, never mutated.
+    different classes never compare equal. ``terms`` is a read-only view;
+    the dict behind it may be a memo's, shared and never mutated.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
         items = (terms.items() if isinstance(terms, Mapping) else terms) or ()
-        self.terms = _merge({}, ((k, c) for k, c in items if c != 0))
+        self.terms = MappingProxyType(
+            _merge({}, ((k, c) for k, c in items if c != 0)))
 
     @classmethod
     def _raw(cls, data: dict):
         # internal: data already canonical (no zeros, merged)
         obj = object.__new__(cls)
-        obj.terms = data
+        obj.terms = MappingProxyType(data)
         return obj
 
     @classmethod
@@ -371,7 +399,7 @@ class Combination:
         return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def __repr__(self) -> str:
-        return "%s(%r)" % (type(self).__name__, self.terms)
+        return "%s(%r)" % (type(self).__name__, dict(self.terms))
 
 
 class Polynomial(Combination):

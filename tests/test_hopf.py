@@ -121,12 +121,18 @@ def test_antipode_matches_composition_sum_oracle(name):
 
 @pytest.mark.parametrize("route", (antipode, antipode_recursive))
 def test_antipode_memo_keeps_exact_results_exact(route):
-    # MonoidLetter(0.5) == MonoidLetter(Fraction(1, 2)), with equal hashes
+    # MonoidLetter(0.5) == MonoidLetter(Fraction(1, 2)), with equal hashes,
+    # but the words they make differ: words compare by value and value type
     floats = word(MonoidLetter(0.5), MonoidLetter(0.75))
     exact = word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4)))
     route(MULSTUFFLE, floats)
     got = route(MULSTUFFLE, exact)
-    assert got == route(MULSTUFFLE, floats)
+
+    def as_floats(poly):
+        return {tuple(float(letter.value) for letter in w): c
+                for w, c in poly.terms.items()}
+
+    assert as_floats(got) == as_floats(route(MULSTUFFLE, floats))
     assert all(isinstance(letter.value, F) for w in got.terms for letter in w)
 
 

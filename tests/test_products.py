@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction as F
 from math import comb
 
@@ -276,3 +278,81 @@ def test_only_exact_queries_fill_the_product_memo():
     assert filled > 0
     star(br, *floats)
     assert len(br._star_memo) == filled
+
+
+def test_long_words_need_no_recursion():
+    p = shuffle(Word([x(0)] * 3000), word(x(0)))
+    assert p == Polynomial.monomial(Word([x(0)] * 3001), 3001)
+    # stuffle(y1^n, y2) keeps about 2n^3/3 letter ids in its memo, so n stays
+    # small and the interpreter's recursion limit is lowered below n instead
+    depth = len(inspect.stack(0))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        p = stuffle(Word([y(1)] * 200), word(y(2)))
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(p) == 401 and set(p.terms.values()) == {1}
+    assert p.coeff(Word([y(1)] * 199 + [y(3)])) == 1
+
+
+def _recursion_keys(br, u, v, keys):
+    """The memo keys the recursive expansion of u * v fills."""
+    if (u, v) in keys:
+        return
+    if u and v:
+        _recursion_keys(br, u[1:], v, keys)
+        _recursion_keys(br, u, v[1:], keys)
+        if br.apply(u[0], v[0]) is not None:
+            _recursion_keys(br, u[1:], v[1:], keys)
+    keys.add((u, v))
+
+
+def _equal_indices(a, b):
+    return (1, y(a.index + b.index)) if a.index == b.index else None
+
+
+def test_expansion_fills_the_memo_entries_of_the_recursion():
+    rng = random.Random(17)
+    for fn in (STUFFLE.fn, _equal_indices, lambda a, b: None):
+        br = Bracket("probe", fn, kinds=("indexed",))
+        keys: set = set()
+        for _ in range(40):
+            u = Word(y(rng.randint(1, 2)) for _ in range(rng.randint(0, 4)))
+            v = Word(y(rng.randint(1, 2)) for _ in range(rng.randint(0, 4)))
+            assert star(br, u, v).terms == star_oracle(br, u, v)
+            _recursion_keys(br, u, v, keys)
+            assert set(br._star_memo) == keys
+
+
+def test_bracket_memoizes_its_pairing_on_letter_ids():
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        return _add_exponents(a, b)
+
+    br = Bracket("counted", fn, kinds=("monoid",))
+    for _ in range(3):
+        assert br.apply(m(2), m(3)) == (1, MonoidLetter(F(5)))
+    assert br.apply(MonoidLetter(2), MonoidLetter(3)) == (1, MonoidLetter(5))
+    assert len(calls) == 2
+
+
+def test_words_of_two_kinds_do_not_multiply():
+    with pytest.raises(AlphabetMismatchError):
+        shuffle(word(x(0)), word(m(2)))
+    leaves = Bracket("leaves", lambda a, b: (1, y(1)), kinds=("monoid",))
+    with pytest.raises(AlphabetMismatchError):
+        star(leaves, word(m(2)), word(m(3)))
+
+
+def test_terms_are_read_only():
+    u, v = word(y(1), y(2)), word(y(3))
+    p = stuffle(u, v)
+    before = dict(p.terms)
+    with pytest.raises(TypeError):
+        p.terms[word(y(9))] = 1
+    assert stuffle(u, v).terms == before
+    with pytest.raises(TypeError):
+        Polynomial([(u, 1)]).terms[v] = 1

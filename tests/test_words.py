@@ -1,10 +1,15 @@
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 from polyzeta.errors import AlphabetMismatchError
+from polyzeta.products import mulstuffle
 from polyzeta.words import (EMPTY_WORD, Indexed, MonoidLetter, PairLetter,
-                            Polynomial, X0, XForm, concat, word, x, y)
+                            Polynomial, Word, X0, XForm, concat, word, x, y)
 
 
 def test_letter_invariants():
@@ -106,3 +111,71 @@ def test_pretty_forms():
     assert EMPTY_WORD.pretty() == "1"
     p = Polynomial([(word(y(1), y(1)), 2), (word(y(2)), -1)])
     assert p.pretty() == "-y₂ + 2y₁²"
+
+
+def test_words_are_hash_consed():
+    ls = [x(0), x(1), x(0)]
+    assert Word(ls) is Word(ls) is word(*ls)
+    w = Word(ls)
+    assert w[1:] is Word(ls[1:]) and w[:0] is EMPTY_WORD
+    assert w[2:] is w[:1] and (w[:1] + w[1:]) is w
+    assert EMPTY_WORD.prepended(x(1)) is word(x(1))
+
+
+def test_words_compare_by_letter_value_and_type():
+    for a, b in ((0.5, F(1, 2)), (1, F(1))):
+        assert MonoidLetter(a) == MonoidLetter(b)
+        assert hash(MonoidLetter(a)) == hash(MonoidLetter(b))
+        assert word(MonoidLetter(a)) != word(MonoidLetter(b))
+    assert word(PairLetter(1, 2)) != word(PairLetter(1, 2.0))
+    assert word(XForm(1, 0)) != word(XForm(F(1), 0))
+
+
+@pytest.mark.parametrize("values", ((0.375, F(3, 8)), (F(5, 8), 0.625)))
+def test_letters_keep_the_callers_value_types(values):
+    # fresh values for each order, so no earlier query interned them
+    for v in values:
+        w = word(MonoidLetter(v), MonoidLetter(v))
+        assert [type(letter.value) for letter in w.letters] == [type(v)] * 2
+        assert all(type(letter.value) is type(v) for letter in w)
+        for u in mulstuffle(w, w).terms:
+            assert all(type(letter.value) is type(v) for letter in u)
+
+
+def test_threads_build_identical_words():
+    n_threads, rounds = 4, 200
+    barrier = threading.Barrier(n_threads)
+    built = [None] * n_threads
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [Word(MonoidLetter(F(k, 7919)) for k in range(r % 5 + 1))
+                       for r in range(rounds)] + \
+            [Word([y(r + 100), y(r + 101)]) for r in range(rounds)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for words in built[1:]:
+        assert all(a is b for a, b in zip(words, built[0], strict=True))
+
+
+def test_copy_and_pickle_return_the_canonical_word():
+    for w in (EMPTY_WORD, word(x(0), x(1)),
+              word(MonoidLetter(F(1, 3)), MonoidLetter(0.25)),
+              word(XForm(F(1, 2), F(1, 3)), X0())):
+        assert copy.copy(w) is w
+        assert copy.deepcopy(w) is w
+        assert pickle.loads(pickle.dumps(w)) is w
+    assert len(Word()) == 0 and Word() is EMPTY_WORD
+    letter = MonoidLetter(F(2, 7))
+    assert pickle.loads(pickle.dumps(letter))._id == letter._id
