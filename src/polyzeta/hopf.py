@@ -213,8 +213,7 @@ def check_antipode(br: Bracket, maxlen: int,
     for n in range(maxlen + 1):
         for w in _words_of_length(alphabet, n):
             expect = Polynomial.one() if n == 0 else Polynomial.zero()
-            left = Polynomial.zero()
-            right = Polynomial.zero()
+            left = right = Polynomial.zero()
             for i in range(n + 1):
                 u, v = w[:i], w[i:]
                 left += star(br, antipode(br, u), v)

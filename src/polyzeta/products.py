@@ -73,37 +73,37 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
 
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
-    reaches and that it lacks, children first, on an explicit stack."""
+    reaches and that it lacks, last suffixes (children) first."""
     if u and v and u.kind != v.kind:
         raise AlphabetMismatchError(
             f"cannot multiply a {u.kind!r} word by a {v.kind!r} word")
     us = [u[i:] for i in range(len(u) + 1)]
     vs = [v[j:] for j in range(len(v) + 1)]
-    stack = [(0, 0)]
-    while stack:
-        i, j = stack.pop()
+
+    def entry(i, j):
         key = (us[i], vs[j])
-        if key in memo:
-            continue
-        if i == len(u) or j == len(v):
-            memo[key] = {us[i] + vs[j]: 1}  # one factor is the unit
-            continue
-        pair = br.apply(u[i], v[j])
-        parts = [(i + 1, j, u._ids[i], 1), (i, j + 1, v._ids[j], 1)]
-        if pair is not None:
-            parts.append((i + 1, j + 1, pair[1]._id, pair[0]))
-        todo = [(k, l) for k, l, _, _ in parts if (us[k], vs[l]) not in memo]
-        if todo:
-            stack += [(i, j)] + todo
-            continue
-        acc: dict = {}
-        for k, l, head, factor in parts:
-            for w, c in memo[us[k], vs[l]].items():
-                nw = _word((head,) + w._ids)
-                prev = acc.get(nw)
-                acc[nw] = factor * c if prev is None else prev + factor * c
-        memo[key] = {w: c for w, c in acc.items() if c != 0}
-    return memo[us[0], vs[0]]
+        hit = memo.get(key)
+        if hit is None:  # only a pair with a unit factor is missing here
+            hit = memo[key] = {us[i] + vs[j]: 1}
+        return hit
+
+    for i in reversed(range(len(u))):
+        for j in reversed(range(len(v))):
+            if (us[i], vs[j]) in memo:
+                continue
+            pair = br.apply(u[i], v[j])
+            parts = [(entry(i + 1, j), u._ids[i], 1),
+                     (entry(i, j + 1), v._ids[j], 1)]
+            if pair is not None:
+                parts.append((entry(i + 1, j + 1), pair[1]._id, pair[0]))
+            acc: dict = {}
+            for terms, head, factor in parts:
+                for w, c in terms.items():
+                    nw = _word((head,) + w._ids)
+                    prev = acc.get(nw)
+                    acc[nw] = factor * c if prev is None else prev + factor * c
+            memo[us[i], vs[j]] = {w: c for w, c in acc.items() if c != 0}
+    return entry(0, 0)
 
 
 def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:

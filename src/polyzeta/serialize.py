@@ -26,12 +26,10 @@ class ParseError(ValueError):
 def scalar_to_json(value):
     if isinstance(value, bool):
         raise ParseError("booleans are not scalars")
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, ExactColor):
@@ -45,9 +43,7 @@ def scalar_to_json(value):
 def scalar_from_json(data):
     if isinstance(data, bool):
         raise ParseError("booleans are not scalars")
-    if isinstance(data, int):
-        return data
-    if isinstance(data, float):
+    if isinstance(data, (int, float)):
         return data
     if isinstance(data, str):
         try:

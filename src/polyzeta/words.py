@@ -20,6 +20,7 @@ is a combination of words. Combinations are immutable values and
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,14 @@ def _value_is_exact(letter) -> bool:
     return type(letter.value) in _EXACT_TYPES
 
 
+def _field_tag(v):
+    """A letter field's type plus its float signs, which == ignores."""
+    t = type(v)
+    if t is float or t is complex:
+        return t, math.copysign(1, v.real), math.copysign(1, v.imag)
+    return t
+
+
 # Hash-cons tables, which only grow: letter key -> id, id -> first letter,
 # inexact ids, and id tuple -> word. A letter key hashes in Python code, so
 # interning takes the lock; dict.setdefault on a tuple of ints is atomic.
@@ -69,7 +78,8 @@ class _Letter:
 
     def __post_init__(self):
         self._check()
-        key = (self, tuple(type(getattr(self, f)) for f in self.__match_args__))
+        key = (self, tuple(_field_tag(getattr(self, f))
+                           for f in self.__match_args__))
         with _LETTER_LOCK:
             i = _LETTER_IDS.get(key)
             if i is None:
@@ -204,7 +214,8 @@ class Word:
     Words form the free monoid: ``u + v`` concatenates, ``Word()`` is the
     two-sided unit (compatible with every kind). Slicing returns words.
     ``exact`` holds when every scalar the letters carry is exact. Words are
-    hash-consed: equality is identity, by letter value and value type.
+    hash-consed: equality is identity, by letter value and value type
+    (and the sign of a float zero).
     """
 
     __slots__ = ("_ids",)
@@ -344,6 +355,9 @@ class Combination:
         obj.terms = MappingProxyType(data)
         return obj
 
+    def __reduce__(self):
+        return type(self)._raw, (dict(self.terms),)
+
     @classmethod
     def zero(cls):
         return cls._raw({})
@@ -422,7 +436,7 @@ class Polynomial(Combination):
     def pretty(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
+        text = ""
         for w, c in self.sorted_terms():
             if isinstance(c, complex):
                 coeff, sign = f"({c})", "+"
@@ -430,10 +444,5 @@ class Polynomial(Combination):
                 sign = "-" if c < 0 else "+"
                 mag = -c if c < 0 else c
                 coeff = "" if mag == 1 and w else str(mag)
-            term = (coeff + w.pretty()) if coeff else w.pretty()
-            parts.append((sign, term))
-        first_sign, first = parts[0]
-        text = ("-" if first_sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+            text += f" {sign} {coeff}{w.pretty()}"
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]

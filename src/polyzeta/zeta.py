@@ -92,11 +92,7 @@ class PolyzetaParams:
     def is_convergent(self) -> bool:
         """True when the nested sum converges: s1 > 1, or s1 = 1 with
         |xi_1| < 1 (geometric damping)."""
-        if self.depth == 0:
-            return True
-        if self.s[0] > 1:
-            return True
-        return self.s[0] == 1 and abs(self.xi[0]) < 1
+        return self.depth == 0 or self.s[0] > 1 or abs(self.xi[0]) < 1
 
     def sort_key(self) -> tuple:
         return (self.depth, self.s,
@@ -131,10 +127,7 @@ class LinComb(Combination):
 def tbar(t: Sequence[Real]) -> tuple[Real, ...]:
     """Consecutive differences of the shifts: tb_i = t_i - t_(i+1) for
     i < r and tb_r = t_r, the unique map inverted by suffix sums."""
-    r = len(t)
-    if r == 0:
-        return ()
-    return tuple(t[i] - t[i + 1] for i in range(r - 1)) + (t[r - 1],)
+    return tuple(a - b for a, b in zip(t, t[1:])) + tuple(t[-1:])
 
 
 def tbar_inverse(tb: Sequence[Real]) -> tuple[Real, ...]:
@@ -237,9 +230,9 @@ def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],
         raise ValueError("composition and color tuple lengths must match")
     product = star(DUFFLE, Word(map(PairLetter, s, xi)),
                    Word(map(PairLetter, r, rho)))
-    return LinComb._raw({
-        (tuple(l.index for l in w), tuple(l.value for l in w)): c
-        for w, c in product})
+    # words that differ only in value type read back as one term: merge
+    return LinComb(((tuple(l.index for l in w), tuple(l.value for l in w)), c)
+                   for w, c in product)
 
 
 def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
@@ -267,6 +260,5 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
         return LinComb.monomial(q)
     if q.depth == 0:
         return LinComb.monomial(p)
-    return LinComb._raw({
-        PolyzetaParams(ts, txi, (t,) * len(ts)): c
-        for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi)})
+    return LinComb((PolyzetaParams(ts, txi, (t,) * len(ts)), c)
+                   for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi))

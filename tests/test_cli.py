@@ -138,6 +138,16 @@ def test_zeta_expand_duffle_worked_example(capsys):
     assert ss == {(3, 1, 2), (3, 2, 1), (3, 3), (2, 3, 1), (5, 1)}
 
 
+def test_zeta_expand_duffle_merges_colors_equal_by_value(capsys):
+    left = {"s": [2], "xi": [-1], "t": [0]}
+    right = {"s": [2], "xi": [-1.0], "t": [0]}
+    code, out, _ = run(capsys, "zeta-expand", "--mode", "duffle",
+                       "--left", json.dumps(left), "--right", json.dumps(right))
+    assert code == 0
+    coeffs = {term.s: c for term, c in lincomb_from_json(json.loads(out))}
+    assert coeffs == {(2, 2): 2, (4,): 1}
+
+
 def test_eval_command(capsys):
     params = {"s": [2], "xi": [{"re": 0.5, "im": 0}], "t": [0]}
     code, out, _ = run(capsys, "eval", "--params", json.dumps(params))

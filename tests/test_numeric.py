@@ -54,6 +54,9 @@ def test_check_prop_M_hand_cases():
     t = F(1, 3)
     shifted = lambda k: 1 / (k - t)
     assert check_prop_M((2,), (F(1, 2),), (1,), (F(-1),), 6, shifted)
+    # colors equal by value but not by type still give one merged term
+    assert check_prop_M((2,), (1,), (2,), (F(1),), 6, HARMONIC)
+    assert check_prop_M((2,), (-1,), (2,), (F(-1),), 6, HARMONIC)
 
 
 def test_check_prop_M_exact_after_float_query():

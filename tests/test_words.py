@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import sys
 import threading
@@ -7,9 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from polyzeta.errors import AlphabetMismatchError
+from polyzeta.hopf import coproduct
 from polyzeta.products import mulstuffle
 from polyzeta.words import (EMPTY_WORD, Indexed, MonoidLetter, PairLetter,
                             Polynomial, Word, X0, XForm, concat, word, x, y)
+from polyzeta.zeta import LinComb, PolyzetaParams
 
 
 def test_letter_invariants():
@@ -179,3 +182,31 @@ def test_copy_and_pickle_return_the_canonical_word():
     assert len(Word()) == 0 and Word() is EMPTY_WORD
     letter = MonoidLetter(F(2, 7))
     assert pickle.loads(pickle.dumps(letter))._id == letter._id
+
+
+def test_letters_keep_the_sign_of_a_float_zero():
+    # equal by value, but a word hands back the caller's own zero sign
+    for make, plus, minus in (
+            (lambda z: XForm(1, z), 0.0, -0.0),
+            (MonoidLetter, complex(-1, 0.0), complex(-1, -0.0))):
+        first, second = make(plus), make(minus)
+        assert first == second
+        assert word(first) is not word(second)
+        for letter in (first, second):
+            got = word(letter)[0]
+            for field in letter.__match_args__:
+                a, b = getattr(got, field), getattr(letter, field)
+                assert str(a) == str(b) and type(a) is type(b)
+    assert math.copysign(1, word(XForm(1, -0.0))[0].tbar) == -1
+
+
+def test_combinations_copy_and_pickle():
+    left = word(MonoidLetter(F(1, 3)), MonoidLetter(0.25))
+    p = mulstuffle(left, word(MonoidLetter(F(2, 5))))
+    for q in (Polynomial.one(), Polynomial.zero(), p, coproduct(left),
+              LinComb({PolyzetaParams.of((2,), (F(1, 2),), (0,)): 3})):
+        for back in (pickle.loads(pickle.dumps(q)), copy.copy(q),
+                     copy.deepcopy(q)):
+            assert type(back) is type(q) and back == q
+            # words compare by identity, so equal keys are the canonical ones
+            assert list(back.terms) == list(q.terms)

@@ -248,6 +248,19 @@ def test_duffle_index_matches_word_level_product():
         assert lhs == from_words
 
 
+@pytest.mark.parametrize("a, b", ((-1, -1.0), (1, F(1)), (F(1, 2), 0.5)))
+def test_duffle_merges_terms_equal_by_value(a, b):
+    # the words (2,a)(2,b) and (2,b)(2,a) differ by value type but read back
+    # as one (s, xi) term, whose coefficient is their sum
+    got = duffle_index((2,), (a,), (2,), (b,))
+    assert len(got) == 2
+    assert got.coeff(((2, 2), (a, a))) == 2
+    assert got.coeff(((4,), (a * b,))) == 1
+    t = F(0)
+    assert duffle_expand(P((2,), (a,), (t,)), P((2,), (b,), (t,))) == LinComb({
+        P((2, 2), (a, a), (t, t)): 2, P((4,), (a * b,), (t,)): 1})
+
+
 def test_duffle_index_length_mismatch():
     with pytest.raises(ValueError):
         duffle_index((1, 2), (F(1, 2),), (), ())
