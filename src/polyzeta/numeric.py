@@ -12,6 +12,9 @@ sum over the contraction-product expansion at every finite cutoff.
 ``eval_di`` evaluates a convergent parameter set by running the same
 dynamic program with per-level weights 1/(k - t_i) and doubling the cutoff
 until the increment plus an analytic tail estimate drops under tolerance.
+At exact roots of unity it also extrapolates the partial sums at
+multiples of the lcm of the color orders, where every oscillating factor
+is 1, in the basis {1, N^-j log^k N}, and stops at whichever check passes.
 Internally the recursion is written in terms of *cumulative* colors, whose
 moduli stay <= 1 under the convergence hypothesis, so no intermediate
 quantity can overflow even when individual color ratios exceed 1.
@@ -22,12 +25,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import DivergenceError
+from .scalars import ExactColor
 from .zeta import LinComb, PolyzetaParams, duffle_index
 
 _EPS = sys.float_info.epsilon
+_FIT_RATIO = 1.25  # spacing of the extrapolation cutoffs
+_FIT_MAX_ORDER = 6  # largest power of 1/N in the fit basis
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,19 +58,32 @@ class EvalConfig:
 
 @dataclass(frozen=True, slots=True)
 class EvalResult:
-    """Value of a truncated nested sum with an honest error account.
+    """Value of a nested sum with an honest error account.
 
-    ``value`` is the partial sum below ``n_used``; ``error_estimate`` is
-    the last doubling increment plus an analytic tail estimate, including
-    float rounding where the colors do not damp the sum (an estimate, not
-    a certified bound). ``converged`` holds exactly when the estimate is
-    within tolerance.
+    ``value`` is the partial sum below ``n_used``, or the limit extrapolated
+    from the partial sums up to it when the fit decided; ``error_estimate``
+    is the last doubling increment plus an analytic tail estimate, or the
+    disagreement of the fits, with float rounding where the colors do not
+    damp the sum (an estimate, not a certified bound). ``converged`` holds
+    exactly when it is within tolerance. ``trace``: one row per cutoff.
     """
 
     value: complex
     error_estimate: float
     n_used: int
     converged: bool
+    trace: tuple = ()
+
+
+class TraceRow(NamedTuple):
+    """One cutoff: the raw partial sum below it, its change since the last
+    row, and the order and order gap of the fit made there (0, None: none)."""
+
+    cutoff: int
+    partial_sum: complex
+    increment: float
+    fit_order: int
+    fit_gap: Optional[float]
 
 
 def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], object]):
@@ -116,10 +137,11 @@ def check_prop_M(s: Sequence[int], xi: Sequence, r: Sequence[int],
 
 
 def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
-                  ) -> Iterator[tuple[complex, complex, float]]:
+                  ) -> Iterator[tuple[complex, complex, complex, float]]:
     """Column-wise dynamic program for one parameter set; at each of the
-    increasing ``cutoffs`` it yields the partial sum below it, the last
-    column and the sum of |column| (the scale of the rounding error).
+    increasing ``cutoffs`` it yields the partial sum below it as an
+    unsummed compensated pair (sum, correction), the last column and the
+    sum of |column| (the scale of the rounding error).
 
     Column k contributes H_1(k), where
 
@@ -167,7 +189,7 @@ def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
             acc[r - 1] = u
             mass += abs(h)
         start = cutoff
-        yield acc[r - 1] + comp[r - 1], h, mass
+        yield acc[r - 1], comp[r - 1], h, mass
 
 
 def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
@@ -197,12 +219,53 @@ def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
     return abs(last)
 
 
+def _root_order(p: PolyzetaParams) -> int:
+    """lcm of the orders of the cumulative colors when every one is an
+    exact root of unity, else 0."""
+    order = 1
+    for c in p.cumulative_colors():
+        if not isinstance(c, (int, Fraction, ExactColor)) or abs(c) != 1:
+            return 0
+        order = math.lcm(order, c.turns.denominator
+                         if isinstance(c, ExactColor) else 1 + (c == -1))
+    return order
+
+
+def _extrapolate(rows: list, order: int, depth: int) -> complex:
+    """Limit N -> infinity of the interpolant through the last
+    1 + order*depth rows (N, sum, correction) in the basis 1 and x^j l^k
+    (1 <= j <= order, k < depth), x = N_last/N and l = log(N/N_last).
+
+    It fits the differences S(N) - S(N_last) of the compensated pairs, which
+    keep the bits that rounding each S(N) loses. With the constant as the
+    last unknown, forward elimination (partial pivoting) alone yields it.
+    """
+    rows = rows[len(rows) - 1 - order * depth:]
+    n_last, head, tail = rows[-1]
+    a = [[(n_last / n) ** j * math.log(n / n_last) ** k
+          for j in range(1, order + 1) for k in range(depth)]
+         + [1.0, (h - head) + (c - tail)] for n, h, c in rows]
+    for col in range(len(a)):
+        a[col:] = sorted(a[col:], key=lambda row: -abs(row[col]))
+        pivot = a[col]
+        for row in a[col + 1:]:
+            f = row[col] / pivot[col]
+            row[col + 1:] = [x - f * y for x, y
+                             in zip(row[col + 1:], pivot[col + 1:])]
+    return head + (tail + a[-1][-1] / a[-1][-2])
+
+
 def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate a convergent parameter set by truncated summation.
 
-    The cutoff doubles from ``cfg.n_start`` until increment plus tail
-    estimate is within tolerance, or ``cfg.n_max`` is reached (the result
-    is then flagged unconverged). Divergent input raises.
+    The plain check doubles the cutoff from ``cfg.n_start`` and passes when
+    increment plus tail estimate is within tolerance. When every cumulative
+    color is an exact root of unity, rows at multiples of their order lcm,
+    spaced by about 1.25, feed a fit of order J + 1 <= _FIT_MAX_ORDER. Its
+    estimate is the largest of its gap to the order-J fit and its last two
+    changes from fit to fit, plus 100 times the rounding term. The first
+    check to pass gives the result; at ``cfg.n_max`` the smaller estimate
+    does, flagged unconverged. Divergent input raises.
     """
     if not p.satisfies_condition_e():
         raise DivergenceError(
@@ -213,17 +276,41 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
 
-    cutoffs = [cfg.n_start]
-    while cutoffs[-1] < cfg.n_max:
-        cutoffs.append(min(2 * cutoffs[-1], cfg.n_max))
-    previous = None
-    for cutoff, (value, last, mass) in zip(cutoffs, _partial_sums(p, cutoffs)):
-        step = abs(last) if previous is None else abs(value - previous)
-        err = step + _tail_estimate(p, last, mass, cutoff)
-        if err <= cfg.tolerance:
+    checkpoints = [cfg.n_start]
+    while checkpoints[-1] < cfg.n_max:
+        checkpoints.append(min(2 * checkpoints[-1], cfg.n_max))
+    lcm, grid, n = _root_order(p), set(), float(cfg.n_start)
+    while lcm and n <= cfg.n_max:
+        if cfg.n_start <= lcm * round(n / lcm) <= cfg.n_max:
+            grid.add(lcm * round(n / lcm))
+        n *= _FIT_RATIO
+    cutoffs = sorted(grid.union(checkpoints))
+    trace, aligned, changes = [], [], [math.inf]
+    noise = 100 * (p.weight + 2 * p.depth) * _EPS  # 100 x the rounding term
+    previous = plain = fit = None  # plain and fit: (value, error estimate)
+    for cutoff, (head, tail, last, mass) in zip(cutoffs,
+                                                 _partial_sums(p, cutoffs)):
+        value = head + tail
+        order, gap = min(_FIT_MAX_ORDER, len(aligned) // p.depth), None
+        if cutoff in grid:
+            aligned.append((cutoff, head, tail))
+            if order >= 2:
+                hi = _extrapolate(aligned, order, p.depth)
+                gap = abs(hi - _extrapolate(aligned, order - 1, p.depth))
+                changes.append(math.inf if fit is None else abs(hi - fit[0]))
+                fit = (hi, max(gap, *changes[-2:]) + noise * mass)
+        step = abs(value - trace[-1].partial_sum) if trace else abs(last)
+        trace.append(TraceRow(cutoff, value, step,
+                              0 if gap is None else order, gap))
+        if cutoff in checkpoints:
+            step = abs(last) if previous is None else abs(value - previous)
+            plain = (value, step + _tail_estimate(p, last, mass, cutoff))
+            previous = value
+        best = plain if fit is None or plain[1] <= fit[1] else fit
+        if best[1] <= cfg.tolerance:
             break
-        previous = value
-    return EvalResult(value, err, cutoff, err <= cfg.tolerance)
+    return EvalResult(best[0], best[1], cutoff, best[1] <= cfg.tolerance,
+                      tuple(trace))
 
 
 @dataclass(frozen=True, slots=True)

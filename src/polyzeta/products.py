@@ -49,9 +49,10 @@ class Bracket:
         key = (a._id, b._id)
         if key in self._table:
             return self._table[key]
-        if self.kinds is not None and a.kind not in self.kinds:
-            raise AlphabetMismatchError(
-                f"bracket {self.name!r} is undefined on {a.kind!r} letters")
+        for kind in (a.kind, b.kind):
+            if self.kinds is not None and kind not in self.kinds:
+                raise AlphabetMismatchError(
+                    f"bracket {self.name!r} is undefined on {kind!r} letters")
         res = self.fn(a, b)
         if res is not None and res[1].kind != a.kind:
             raise AlphabetMismatchError(

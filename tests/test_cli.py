@@ -232,10 +232,11 @@ def test_file_at_reference(tmp_path, capsys):
 
 
 def test_verify_command_fails_unconverged_run(capsys):
+    # --nmax 1024 sums to one fixed cutoff: too few rows for a fit
     left = {"s": [2, 1], "xi": [1, -1], "t": [0, 0]}
     right = {"s": [3], "xi": [-1], "t": [0]}
     argv = ("verify", "--mode", "duffle", "--left", json.dumps(left),
-            "--right", json.dumps(right), "--nmax", str(2**12))
+            "--right", json.dumps(right), "--nmax", "1024")
     code, out, _ = run(capsys, *argv)
     assert code == 1
     payload = json.loads(out)

@@ -111,12 +111,18 @@ def test_eval_geometric_single_sums():
     assert abs(res.value - oracle) < 1e-12
 
 
+def raw_sum(res: EvalResult, cutoff: int) -> complex:
+    """The partial sum below ``cutoff`` as the evaluation's trace holds it."""
+    (row,) = [row for row in res.trace if row.cutoff == cutoff]
+    return row.partial_sum
+
+
 @pytest.mark.parametrize("s", (2, 3, 4))
 def test_eval_polynomial_single_sums_match_oracle(s):
     cfg = EvalConfig(n_start=2**12, n_max=2**16)
     res = eval_di(P((s,), (1,), (0,)), cfg)
     oracle = single_sum_oracle(s, 1.0, 0.0, res.n_used)
-    assert abs(res.value - oracle) <= 1e-9
+    assert abs(raw_sum(res, res.n_used) - oracle) <= 1e-9
     # classical values as cross-checks, within the reported estimate
     classical = {2: math.pi**2 / 6, 3: 1.2020569031595943, 4: math.pi**4 / 90}
     assert abs(res.value - classical[s]) <= res.error_estimate
@@ -126,24 +132,31 @@ def test_eval_error_estimate_is_honest_for_depth_two():
     cfg = EvalConfig(n_start=2**12, n_max=2**16)
     res = eval_di(P((2, 1), (1, 1), (0, 0)), cfg)
     oracle = double_sum_oracle((2, 1), (1, 1), (0, 0), res.n_used)
-    assert abs(res.value - oracle) <= 1e-9
-    # Euler: the full sum is zeta(3); the truncation must sit within the estimate
-    assert abs(res.value - 1.2020569031595943) <= res.error_estimate
-    assert not res.converged  # unit colors cannot reach 1e-10 by 2**16
+    assert abs(raw_sum(res, res.n_used) - oracle) <= 1e-9
+    # Euler: the full sum is zeta(3); the extrapolated tail reaches it
+    # within an estimate that is itself within tolerance
+    assert abs(res.value - 1.2020569031595943) <= res.error_estimate <= 1e-10
+    assert res.converged
 
 
 @pytest.mark.parametrize("t", (F(-1, 2), F(0), F(1, 5), F(1, 3), F(1, 2),
                                F(3, 4)))
 @pytest.mark.parametrize("s, n_used", ((4, 2**12), (5, 2**10)))
 def test_error_estimate_covers_shifted_hurwitz_sums(s, n_used, t):
-    # converged at the first cutoffs, where the shifted tail and the float
-    # rounding of the large first columns decide the estimate
+    # The float color 1.0 takes the plain check alone: converged at the
+    # first cutoffs, where the shifted tail and the float rounding of the
+    # large first columns decide the estimate. The exact color 1 may stop
+    # sooner on the extrapolated tail, within an estimate just as honest.
     mpmath = pytest.importorskip("mpmath")
-    res = eval_di(P((s,), (1,), (t,)))
     with mpmath.workdps(30):
         ref = complex(mpmath.zeta(s, 1 - mpmath.mpf(t.numerator) / t.denominator))
+    plain = eval_di(P((s,), (1.0,), (t,)))
+    assert abs(plain.value - ref) <= plain.error_estimate
+    assert plain.converged and plain.n_used == n_used
+    assert plain.value == raw_sum(plain, n_used)
+    res = eval_di(P((s,), (1,), (t,)))
     assert abs(res.value - ref) <= res.error_estimate
-    assert res.converged and res.n_used == n_used
+    assert res.converged and res.n_used <= n_used
 
 
 def test_eval_shifted_colored_depth_two():
@@ -184,20 +197,44 @@ _W3 = root_of_unity(1, 3)
     # zeta(2) at one fixed cutoff
     (P((2,), (1,), (0,)), EvalConfig(n_start=2**12, n_max=2**12),
      ("(1.6446898964184786+0j)", 0.00024425987796097246, 2**12, False)),
-    # cube roots of unity: polynomial tail plus rounding term
+    # cube roots of unity: the extrapolated tail, unconverged by 2**13
     (P((3, 1, 2), (1, _W3, _W3 * _W3), (F(1, 3), F(-1, 2), 0)),
      EvalConfig(n_max=2**13),
-     ("(-0.025366927686178438+0.026980105215045954j)",
-      7.547768059228524e-07, 2**13, False)),
+     ("(-0.025366929794403654+0.026980106754555967j)",
+      5.906855775826421e-09, 2**13, False)),
     # geometric tail, converged at the first cutoff
     (P((2, 1), (F(-2, 3), F(1, 2)), (F(1, 5), F(-1, 3))), EvalConfig(),
      ("(0.038226604194245895+0j)", 1.1272711104236649e-186, 2**10, True)),
+    # off the fit path, as before it: a float unit color, mixed moduli
+    (P((2,), (-1.0,), (0,)), EvalConfig(n_max=2**14),
+     ("(-0.822467035286872+0j)", 6.104447050040251e-05, 2**14, False)),
+    (P((2, 2), (F(1, 2), 2), (0, F(1, 3))), EvalConfig(n_max=2**14),
+     ("(0.4098479699594618+0j)", 0.000653363885524515, 2**14, False)),
 ])
 def test_eval_golden_values(p, cfg, expected):
     # bit-exact pins: any change to the summation order shows up here
     res = eval_di(p, cfg)
     assert (repr(res.value), res.error_estimate, res.n_used,
             res.converged) == expected
+
+
+def test_eval_trace_keeps_the_raw_partial_sums():
+    # the fit reads the column loop's rows without changing them: the raw
+    # partial sum below 2**13 is the one the plain evaluator returned, and
+    # every row is the sum a single fixed cutoff gives
+    p = P((3, 1, 2), (1, _W3, _W3 * _W3), (F(1, 3), F(-1, 2), 0))
+    res = eval_di(p, EvalConfig(n_max=2**13))
+    assert repr(raw_sum(res, 2**13)) == \
+        "(-0.025366927686178438+0.026980105215045954j)"
+    assert res.trace[-1].cutoff == res.n_used
+    assert [row.cutoff for row in res.trace] == sorted(
+        {row.cutoff for row in res.trace})
+    for row in res.trace[::4]:
+        alone = eval_di(p, EvalConfig(n_start=row.cutoff, n_max=row.cutoff))
+        assert alone.value == row.partial_sum and len(alone.trace) == 1
+    fits = [row for row in res.trace if row.fit_order]
+    assert fits and all(row.cutoff % 3 == 0 and row.fit_gap >= 0
+                        for row in fits)
 
 
 def test_verify_trivial_unit_relation():
@@ -284,10 +321,12 @@ def test_result_types():
 
 def test_verify_fails_unconverged_evaluations():
     # the residual sits far inside the (unconverged) error budget, but the
-    # alternating-color terms stop at n_max short of the tolerance
+    # alternating-color terms stop at one fixed cutoff, too few rows for a
+    # fit, short of the tolerance
     a = P((2, 1), (1, -1), (0, 0))
     b = P((3,), (-1,), (0,))
-    rep = verify_relation((a, b), duffle_expand(a, b), EvalConfig(n_max=2**12))
+    rep = verify_relation((a, b), duffle_expand(a, b),
+                          EvalConfig(n_start=2**10, n_max=2**10))
     assert not rep.converged
     assert rep.residual <= rep.tolerance
     assert not rep.ok

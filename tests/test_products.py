@@ -339,6 +339,13 @@ def test_bracket_memoizes_its_pairing_on_letter_ids():
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("a, b", ((y(1), MonoidLetter(2)),
+                                  (MonoidLetter(2), y(1))))
+def test_bracket_checks_the_kind_of_both_letters(a, b):
+    with pytest.raises(AlphabetMismatchError):
+        STUFFLE.apply(a, b)
+
+
 def test_words_of_two_kinds_do_not_multiply():
     with pytest.raises(AlphabetMismatchError):
         shuffle(word(x(0)), word(m(2)))
