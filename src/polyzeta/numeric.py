@@ -36,6 +36,7 @@ from .zeta import LinComb, PolyzetaParams, duffle_index
 _EPS = sys.float_info.epsilon
 _FIT_RATIO = 1.25  # spacing of the extrapolation cutoffs
 _FIT_MAX_ORDER = 6  # largest power of 1/N in the fit basis
+_FIT_ROWS = 13  # past 1 + J*depth = 13 the fit is too ill-conditioned
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,11 +262,12 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     The plain check doubles the cutoff from ``cfg.n_start`` and passes when
     increment plus tail estimate is within tolerance. When every cumulative
     color is an exact root of unity, rows at multiples of their order lcm,
-    spaced by about 1.25, feed a fit of order J + 1 <= _FIT_MAX_ORDER. Its
-    estimate is the largest of its gap to the order-J fit and its last two
-    changes from fit to fit, plus 100 times the rounding term. The first
-    check to pass gives the result; at ``cfg.n_max`` the smaller estimate
-    does, flagged unconverged. Divergent input raises.
+    spaced by about 1.25, feed a fit of order J + 1 <= _FIT_MAX_ORDER on at
+    most _FIT_ROWS rows. Its estimate is the largest of its gap to the
+    order-J fit and its last two changes from fit to fit, plus 100 times the
+    rounding term. The first check to pass gives the result; at
+    ``cfg.n_max`` the smaller estimate does, flagged unconverged. Divergent
+    input raises.
     """
     if not p.satisfies_condition_e():
         raise DivergenceError(
@@ -291,7 +293,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     for cutoff, (head, tail, last, mass) in zip(cutoffs,
                                                  _partial_sums(p, cutoffs)):
         value = head + tail
-        order, gap = min(_FIT_MAX_ORDER, len(aligned) // p.depth), None
+        order, gap = min(_FIT_MAX_ORDER, (_FIT_ROWS - 1) // p.depth,
+                         len(aligned) // p.depth), None
         if cutoff in grid:
             aligned.append((cutoff, head, tail))
             if order >= 2:

@@ -39,13 +39,15 @@ def diagonal(depth: int, k: int, n: int, s: int, t: F) -> complex:
     return complex((p[1]**3 - 3 * p[1] * p[2] + 2 * p[3]) / 6)
 
 
-# The default configuration, and one that fits rows at small N, where the
+# The default configuration; one that fits rows at small N, where the
 # asymptotic expansion is least accurate and a fit can agree with itself
-# by chance.
+# by chance; and a tight one that runs the fits to their highest orders,
+# where their conditioning sets the floor.
 @pytest.mark.parametrize("cfg", (
     EvalConfig(),
     EvalConfig(tolerance=1e-6, n_start=16, n_max=2**12),
-), ids=("default", "early-rows"))
+    EvalConfig(tolerance=1e-11, n_start=8, n_max=2**14),
+), ids=("default", "early-rows", "high-orders"))
 def test_diagonal_sums_at_roots_of_unity_are_honest_and_converged(cfg):
     cases = [(depth, n, t) for depth in (1, 2, 3) for n in range(1, 7)
              for t in SHIFTS]
