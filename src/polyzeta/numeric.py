@@ -302,8 +302,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                 gap = abs(hi - _extrapolate(aligned, order - 1, p.depth))
                 changes.append(math.inf if fit is None else abs(hi - fit[0]))
                 fit = (hi, max(gap, *changes[-2:]) + noise * mass)
-        step = abs(value - trace[-1].partial_sum) if trace else abs(last)
-        trace.append(TraceRow(cutoff, value, step,
+        increment = abs(value - trace[-1].partial_sum) if trace else abs(last)
+        trace.append(TraceRow(cutoff, value, increment,
                               0 if gap is None else order, gap))
         if cutoff in checkpoints:
             step = abs(last) if previous is None else abs(value - previous)

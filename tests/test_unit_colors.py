@@ -68,7 +68,8 @@ def test_diagonal_sums_at_roots_of_unity_are_honest_and_converged(cfg):
 @pytest.mark.parametrize("s, xi, ref", [
     ((2, 1), (1, 1), lambda: mpmath.zeta(3)),
     ((2, 2), (1, 1), lambda: mpmath.pi**4 / 120),
-    ((3, 1, 1), (1, 1, 1), lambda: 2 * mpmath.zeta(5) - mpmath.zeta(2) * mpmath.zeta(3)),
+    ((3, 1, 1), (1, 1, 1),
+     lambda: 2 * mpmath.zeta(5) - mpmath.zeta(2) * mpmath.zeta(3)),
     ((2, 1), (-1, 1), lambda: mpmath.zeta(3) / 8),
 ], ids=("zeta(2,1)", "zeta(2,2)", "zeta(3,1,1)", "zeta(-2,1)"))
 def test_closed_forms_are_honest_and_converged(s, xi, ref):
