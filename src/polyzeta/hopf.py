@@ -80,7 +80,7 @@ def antipode(br: Bracket, w: Word) -> Polynomial:
     so the antipodes of the prefixes of w are built shortest first, each
     once, from contractions and concatenations alone.
     """
-    memo = br._antipode_memo if w.exact else {}
+    memo = br._antipode_memo
     hit = memo.get(w)
     if hit is not None:
         return hit
@@ -112,7 +112,7 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
 
     with a(1) = 1 (and so a(letter) = -letter). The prefixes of w are
     handled shortest first, as in ``antipode``."""
-    memo = br._antipode_rec_memo if w.exact else {}
+    memo = br._antipode_rec_memo
     hit = memo.get(w)
     if hit is not None:
         return hit

@@ -8,9 +8,9 @@ letter)`` pair for a contraction; the recursion is
     au * bv  =  a (u * bv)  +  b (au * v)  +  [a, b] (u * v)
 
 extended bilinearly, with the empty word as unit. Each bracket memoizes its
-pairing on letter-id pairs and the expansions of exact word pairs (a query
-on a word carrying a float or complex scalar gets a private table), as the
-antipodes in ``hopf`` do; these tables grow for the life of the process.
+pairing on letter-id pairs and the expansions of word pairs, as the antipodes
+in ``hopf`` do. Words key on letter value and value type, so float and exact
+queries fill disjoint entries; the tables grow for the life of the process.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ class Bracket:
 
 
 def _star_words(br: Bracket, u: Word, v: Word) -> dict:
-    """Raw expansion of u * v as a word -> coefficient dict, memoized when
-    both words are exact; the dict is shared and must not be mutated."""
-    memo = br._star_memo if u.exact and v.exact else {}
-    hit = memo.get((u, v))
-    return hit if hit is not None else _expand(memo, br, u, v)
+    """Raw expansion of u * v as a word -> coefficient dict, memoized on
+    the typed word pair; the dict is shared and must not be mutated."""
+    hit = br._star_memo.get((u, v))
+    return hit if hit is not None else _expand(br._star_memo, br, u, v)
 
 
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:

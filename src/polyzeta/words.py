@@ -20,6 +20,7 @@ is a combination of words. Combinations are immutable values and
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -29,11 +30,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AlphabetMismatchError
-from .scalars import Color, ExactColor, Real, color_sort_key
+from .scalars import Color, Real, color_sort_key
 
-# Scalar types that keep a letter exact; anything else (float, complex)
-# makes a word inexact.
-_EXACT_TYPES = frozenset((int, Fraction, ExactColor))
 _SUB = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
 _SUP = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -45,24 +43,22 @@ def _subscript(value) -> str:
     return "_{%s}" % text
 
 
-def _value_is_exact(letter) -> bool:
-    return type(letter.value) in _EXACT_TYPES
-
-
 def _field_tag(v):
-    """A letter field's type plus its float signs, which == ignores."""
+    """A letter field's type plus its float signs, which == ignores;
+    refuses a non-finite float or complex field."""
     t = type(v)
-    if t is float or t is complex:
+    if isinstance(v, (float, complex)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"letter fields must be finite, got {v!r}")
         return t, math.copysign(1, v.real), math.copysign(1, v.imag)
     return t
 
 
 # Hash-cons tables, which only grow: letter key -> id, id -> first letter,
-# inexact ids, and id tuple -> word. A letter key hashes in Python code, so
-# interning takes the lock; dict.setdefault on a tuple of ints is atomic.
+# and id tuple -> word. A letter key hashes in Python code, so interning
+# takes the lock; dict.setdefault on a tuple of ints is atomic.
 _LETTER_IDS: dict = {}
 _LETTERS: list = []
-_INEXACT: set = set()
 _LETTER_LOCK = threading.Lock()
 _WORDS: dict = {}
 
@@ -85,8 +81,6 @@ class _Letter:
             if i is None:
                 i = _LETTER_IDS[key] = len(_LETTERS)
                 _LETTERS.append(self)
-                if not self.exact:
-                    _INEXACT.add(i)
         object.__setattr__(self, "_id", i)
 
     def __reduce__(self):
@@ -100,12 +94,13 @@ class Indexed(_Letter):
     index: int
     family: str = "x"
     kind = "indexed"
-    exact = True
 
     def _check(self):
         i = self.index
         if type(i) is not int or i < 0:
             raise ValueError(f"index must be an integer >= 0, got {i!r}")
+        if type(self.family) is not str:
+            raise ValueError(f"family must be a string, got {self.family!r}")
 
     def pretty(self) -> str:
         return self.family + _subscript(self.index)
@@ -120,7 +115,6 @@ class MonoidLetter(_Letter):
 
     value: object
     kind = "monoid"
-    exact = property(_value_is_exact)
 
     def pretty(self) -> str:
         return "x" + _subscript(self.value)
@@ -137,7 +131,6 @@ class PairLetter(_Letter):
     index: int
     value: object
     kind = "pair"
-    exact = property(_value_is_exact)
 
     def _check(self):
         i = self.index
@@ -156,7 +149,6 @@ class X0(_Letter):
     """The integration-slot letter of the encoding alphabet."""
 
     kind = "encoded"
-    exact = True
 
     def pretty(self) -> str:
         return "x₀"
@@ -183,11 +175,6 @@ class XForm(_Letter):
         if self.color == 0:
             raise ValueError("cumulative color must be nonzero")
 
-    @property
-    def exact(self) -> bool:
-        return (type(self.color) in _EXACT_TYPES
-                and type(self.tbar) in _EXACT_TYPES)
-
     def pretty(self) -> str:
         return "x_{%s;%s}" % (self.color, self.tbar)
 
@@ -213,9 +200,9 @@ class Word:
 
     Words form the free monoid: ``u + v`` concatenates, ``Word()`` is the
     two-sided unit (compatible with every kind). Slicing returns words.
-    ``exact`` holds when every scalar the letters carry is exact. Words are
-    hash-consed: equality is identity, by letter value and value type
-    (and the sign of a float zero).
+    Words are hash-consed: equality is identity, by letter value and value
+    type (and the sign of a float zero), so a memo keyed on words never
+    hands one query's scalar types to another.
     """
 
     __slots__ = ("_ids",)
@@ -242,10 +229,6 @@ class Word:
     @property
     def kind(self):
         return _LETTERS[self._ids[0]].kind if self._ids else None
-
-    @property
-    def exact(self) -> bool:
-        return _INEXACT.isdisjoint(self._ids)
 
     def __len__(self) -> int:
         return len(self._ids)

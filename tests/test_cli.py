@@ -268,10 +268,21 @@ ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
     ("eval", "--params", '{"s": ["2"], "xi": [1], "t": [0]}'),
     ("expand", "--product", "stuffle", "--right", yw(2), "--left",
      '[{"kind": "indexed", "family": "y", "index": 1.7}]'),
+    # JSON NaN and Infinity parse to non-finite floats
+    ("expand", "--product", "mulstuffle",
+     "--left", '[{"kind": "monoid", "value": NaN}]',
+     "--right", '[{"kind": "monoid", "value": Infinity}]'),
+    ("hopf-check", "--product", "mulstuffle",
+     "--alphabet", '[{"kind": "monoid", "value": NaN}]'),
+    ("expand", "--product", "stuffle", "--format", "pretty",
+     "--left", '[{"kind": "indexed", "family": 5, "index": 1}]',
+     "--right", '[{"kind": "indexed", "family": 5, "index": 2}]'),
 ), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
         "verify-nmax-1", "non-finite-shift", "eval-tol-inf", "eval-tol-nan",
         "verify-tol-inf", "verify-tol-nan", "float-exponent",
-        "bool-exponent", "string-exponent", "float-letter-index"))
+        "bool-exponent", "string-exponent", "float-letter-index",
+        "non-finite-letter-value", "non-finite-alphabet",
+        "non-string-family"))
 def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +11,8 @@ from polyzeta.hopf import (CheckReport, TensorPolynomial, antipode,
                            default_alphabet)
 from polyzeta.products import (DUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
                                STUFFLE, Bracket, star)
-from polyzeta.words import (EMPTY_WORD, MonoidLetter, Polynomial, Word, word,
-                            x, y)
+from polyzeta.words import (EMPTY_WORD, MonoidLetter, PairLetter, Polynomial,
+                            Word, word, x, y)
 
 Y12 = word(y(1), y(2))
 
@@ -119,21 +120,31 @@ def test_antipode_matches_composition_sum_oracle(name):
             assert antipode(br, w).terms == antipode_composition_sum(br, w)
 
 
+# MonoidLetter(0.5) == MonoidLetter(Fraction(1, 2)), with equal hashes, but
+# the words they make differ: words compare by value and value type
+FLOATS = word(MonoidLetter(0.5), MonoidLetter(0.75))
+EXACT = word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4)))
+
+
+def fresh(br):
+    return Bracket(br.name, br.fn, br.kinds)
+
+
 @pytest.mark.parametrize("route", (antipode, antipode_recursive))
 def test_antipode_memo_keeps_exact_results_exact(route):
-    # MonoidLetter(0.5) == MonoidLetter(Fraction(1, 2)), with equal hashes,
-    # but the words they make differ: words compare by value and value type
-    floats = word(MonoidLetter(0.5), MonoidLetter(0.75))
-    exact = word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4)))
-    route(MULSTUFFLE, floats)
-    got = route(MULSTUFFLE, exact)
-
     def as_floats(poly):
         return {tuple(float(letter.value) for letter in w): c
                 for w, c in poly.terms.items()}
 
-    assert as_floats(got) == as_floats(route(MULSTUFFLE, floats))
-    assert all(isinstance(letter.value, F) for w in got.terms for letter in w)
+    for order in ((FLOATS, EXACT), (EXACT, FLOATS)):
+        br = fresh(MULSTUFFLE)
+        for w in order:
+            route(br, w)
+        got = {w: route(br, w) for w in order}
+        assert as_floats(got[EXACT]) == as_floats(got[FLOATS])
+        for w, kind in ((EXACT, F), (FLOATS, float)):
+            assert all(type(letter.value) is kind
+                       for term in got[w].terms for letter in term)
 
 
 def test_antipode_axiom_hand_example():
@@ -189,15 +200,76 @@ def test_report_shape():
     assert rep.checked > 0
 
 
-@pytest.mark.parametrize("route, table", ((antipode, "_antipode_memo"),
-                                          (antipode_recursive,
-                                           "_antipode_rec_memo")))
-def test_only_exact_queries_fill_the_antipode_memos(route, table):
-    br = Bracket("mulstuffle", MULSTUFFLE.fn, MULSTUFFLE.kinds)
-    route(br, word(MonoidLetter(0.5), MonoidLetter(0.75)))
-    assert len(getattr(br, table)) == 0 and len(br._star_memo) == 0
-    route(br, word(MonoidLetter(F(1, 2)), MonoidLetter(F(3, 4))))
-    assert len(getattr(br, table)) == 2
+def value_types(key):
+    """The scalar types that the letters of a memo key carry."""
+    return {type(letter.value) for w in (key if isinstance(key, tuple)
+                                         else (key,)) for letter in w}
+
+
+@pytest.mark.parametrize("exact_first", (False, True),
+                         ids=("float-first", "exact-first"))
+@pytest.mark.parametrize("route, table, key", (
+    (lambda br, w: star(br, w, w), "_star_memo", lambda w: (w, w)),
+    (antipode, "_antipode_memo", lambda w: w),
+    (antipode_recursive, "_antipode_rec_memo", lambda w: w),
+), ids=("star", "antipode", "antipode_recursive"))
+def test_float_and_exact_queries_fill_disjoint_memo_keys(route, table, key,
+                                                         exact_first):
+    br = fresh(MULSTUFFLE)
+    memo = getattr(br, table)
+    queries = ((FLOATS, {float}), (EXACT, {F}))
+    for w, kinds in queries[::-1 if exact_first else 1]:
+        before = set(memo)
+        route(br, w)
+        added = set(memo) - before
+        # the query fills entries of its own type, none read from the other's
+        assert key(w) in added
+        assert all(value_types(k) == kinds for k in added if value_types(k))
+    assert memo[key(FLOATS)] is not memo[key(EXACT)]
+    # both queries persist: repeating them is all memo hits
+    size = len(memo)
+    for w, _ in queries:
+        route(br, w)
+    assert len(memo) == size
+
+
+SCALARS = (2, F(2), 2.0, complex(2, 0), F(1, 2), 0.5, complex(0.5, 0),
+           F(-3, 4), -0.75, complex(0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_results_do_not_depend_on_memo_history(name):
+    rng = random.Random(name)
+
+    def letter():
+        if name in ("stuffle", "minusstuffle"):
+            return y(rng.randint(1, 3))
+        if name == "duffle":
+            return PairLetter(rng.randint(1, 2), rng.choice(SCALARS))
+        return MonoidLetter(rng.choice(SCALARS))
+
+    def draw():
+        return Word(letter() for _ in range(rng.randint(0, 3)))
+
+    shared = fresh(PRODUCTS[name])
+    for _ in range(60):
+        op = rng.choice(("star", "poly", "antipode", "antipode_recursive"))
+        if op == "star":
+            args = (draw(), draw())
+            call = star
+        elif op == "poly":
+            left = Polynomial({draw(): rng.choice(SCALARS),
+                               draw(): rng.choice(SCALARS)})
+            args = (left, draw())
+            call = star
+        else:
+            args = (draw(),)
+            call = antipode if op == "antipode" else antipode_recursive
+        got = call(shared, *args)
+        want = call(fresh(shared), *args)
+        assert got.terms == want.terms
+        assert ({w: repr(c) for w, c in got.terms.items()}
+                == {w: repr(c) for w, c in want.terms.items()})
 
 
 @pytest.mark.parametrize("compute", (

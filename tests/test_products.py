@@ -9,10 +9,9 @@ import pytest
 from oracles import star_oracle
 from polyzeta.errors import AlphabetMismatchError
 from polyzeta.hopf import check_antipode, check_bialgebra, default_alphabet
-from polyzeta.products import (DUFFLE, MINUS_STUFFLE, MULSTUFFLE, PRODUCTS,
-                               SHUFFLE, STUFFLE, Bracket, duffle,
-                               minus_stuffle, mulstuffle, shuffle, star,
-                               stuffle)
+from polyzeta.products import (DUFFLE, MINUS_STUFFLE, PRODUCTS, SHUFFLE,
+                               STUFFLE, Bracket, duffle, minus_stuffle,
+                               mulstuffle, shuffle, star, stuffle)
 from polyzeta.words import (EMPTY_WORD, MonoidLetter, PairLetter, Polynomial,
                             Word, word, x, y)
 
@@ -263,21 +262,6 @@ def test_bracket_axioms_on_sampled_letters(name):
                     None if br.apply(a, bc[1]) is None
                     else (bc[0] * br.apply(a, bc[1])[0], br.apply(a, bc[1])[1]))
                 assert left == right
-
-
-def test_only_exact_queries_fill_the_product_memo():
-    br = Bracket("mulstuffle", MULSTUFFLE.fn, MULSTUFFLE.kinds)
-    floats = (word(MonoidLetter(0.5), MonoidLetter(0.75)),
-              word(MonoidLetter(2.0)))
-    exact = (word(m(F(1, 2)), m(F(3, 4))), word(m(2)))
-    star(br, *floats)
-    star(br, floats[0], exact[1])
-    assert len(br._star_memo) == 0
-    star(br, *exact)
-    filled = len(br._star_memo)
-    assert filled > 0
-    star(br, *floats)
-    assert len(br._star_memo) == filled
 
 
 def test_long_words_need_no_recursion():

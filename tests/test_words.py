@@ -27,6 +27,15 @@ def test_letter_invariants():
             PairLetter(index, 2)
     with pytest.raises(ValueError):
         XForm(0, F(1, 2))
+    for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0),
+                complex(1, math.inf)):
+        for make in (MonoidLetter, lambda v: PairLetter(1, v),
+                     lambda v: XForm(v, 0), lambda v: XForm(1, v)):
+            with pytest.raises(ValueError):
+                make(bad)
+    for family in (5, None, b"y"):
+        with pytest.raises(ValueError):
+            Indexed(1, family)
     assert X0() == X0()
     assert x(3) == Indexed(3, "x")
     assert x(3) != y(3)
