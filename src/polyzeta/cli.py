@@ -4,7 +4,7 @@ Subcommands: expand, antipode, hopf-check, encode, decode, zeta-expand,
 eval, verify. Word and parameter arguments take inline JSON or @file
 references. Exit codes: 0 success, 1 failed check or exceeded residual,
 2 usage or parse errors, 3 domain errors (divergence, bad shapes,
-diagonal violations).
+diagonal violations, float overflow).
 """
 
 from __future__ import annotations
@@ -212,7 +212,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ParseError, or an argument the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PolyzetaError as exc:
+    except (PolyzetaError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = f"float range exceeded: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .errors import DivergenceError
-from .scalars import ExactColor
+from .scalars import cumulative, root_order
 from .zeta import LinComb, PolyzetaParams, duffle_index
 
 _EPS = sys.float_info.epsilon
@@ -102,11 +101,7 @@ def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], objec
         return 1
     if n <= r:
         return 0
-    cumulative = []
-    c = 1
-    for v in xi:
-        c = c * v
-        cumulative.append(c)
+    cum = cumulative(xi)
     # acc[i] (i < r-1) carries the geometrically weighted prefix sum feeding
     # level i+1; acc[r-1] is the partial sum
     acc = [0] * r
@@ -114,11 +109,11 @@ def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], objec
     levels = range(r - 2, -1, -1)
     for k in range(1, n):
         lv = lam(k)
-        cpow = cpow * cumulative[r - 1]
+        cpow = cpow * cum[r - 1]
         h = cpow * lv ** s[r - 1]
         for i in levels:
             a = acc[i]
-            acc[i] = cumulative[i] * (a + h)
+            acc[i] = cum[i] * (a + h)
             h = a * lv ** s[i] if a != 0 else 0
         acc[r - 1] = acc[r - 1] + h
     return acc[r - 1]
@@ -207,8 +202,7 @@ def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
     corner (s1 = 1 with a unit-modulus inner prefix product) falls back to
     the magnitude of the last column, surfaced as an estimate only.
     """
-    moduli = [abs(c) for c in p.cumulative_colors()]
-    q = max(moduli)
+    q = max(abs(c) for c in p.cumulative_colors())
     if q < 1:
         qf = float(q)
         return abs(last) * qf / (1.0 - qf)
@@ -218,18 +212,6 @@ def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
                 * (1.0 + math.log(cutoff)) ** (p.depth - 1) / (s1 - 1))
         return tail + (p.weight + 2 * p.depth) * _EPS * mass
     return abs(last)
-
-
-def _root_order(p: PolyzetaParams) -> int:
-    """lcm of the orders of the cumulative colors when every one is an
-    exact root of unity, else 0."""
-    order = 1
-    for c in p.cumulative_colors():
-        if not isinstance(c, (int, Fraction, ExactColor)) or abs(c) != 1:
-            return 0
-        order = math.lcm(order, c.turns.denominator
-                         if isinstance(c, ExactColor) else 1 + (c == -1))
-    return order
 
 
 def _extrapolate(rows: list, order: int, depth: int) -> complex:
@@ -281,7 +263,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     checkpoints = [cfg.n_start]
     while checkpoints[-1] < cfg.n_max:
         checkpoints.append(min(2 * checkpoints[-1], cfg.n_max))
-    lcm, grid, n = _root_order(p), set(), float(cfg.n_start)
+    lcm = math.lcm(*map(root_order, p.cumulative_colors()))  # 0: no grid
+    grid, n = set(), float(cfg.n_start)
     while lcm and n <= cfg.n_max:
         if cfg.n_start <= lcm * round(n / lcm) <= cfg.n_max:
             grid.add(lcm * round(n / lcm))

@@ -1,7 +1,7 @@
 """Scalars used as colors, shifts and coefficients.
 
-A *color* is a nonzero scalar attached to a letter or a parameter tuple.
-Three representations coexist:
+A *color* is a nonzero, finite scalar (``check_color``) attached to a
+letter or a parameter tuple. Three representations coexist:
 
 * ``int`` / ``Fraction``   exact real values,
 * ``complex`` / ``float``  floating values,
@@ -12,13 +12,22 @@ Three representations coexist:
 collapses to a plain (signed) ``Fraction``, so an ``ExactColor`` instance
 always has a genuinely complex phase. Products and quotients of exact values
 stay exact; anything mixed with a float goes float.
+
+Every rule that branches on scalar types lives here: ``check_color``,
+``real_shift`` (a shift is a real within float range), ``scalar_tag`` (a
+letter field's identity beyond ``==``), ``ratio``, ``cumulative``,
+``root_order`` and ``color_sort_key``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Union
 
 Real = Union[int, float, Fraction]
@@ -113,3 +122,50 @@ def color_sort_key(value: Color) -> tuple:
                 value.turns.numerator, value.turns.denominator)
     z = complex(value)
     return (2, z.real, z.imag, 0, 1)
+
+
+def check_color(c: Color) -> None:
+    """Refuses a color that is zero or not finite."""
+    if c == 0:
+        raise ValueError("colors must be nonzero")
+    scalar_tag(c)
+
+
+def real_shift(t) -> Real:
+    """A shift within float range, where the evaluator reads it: exact
+    values become Fractions, floats stay floats, anything else is refused."""
+    if (isinstance(t, bool) or not isinstance(t, (int, Fraction, float))
+            or not abs(t) <= sys.float_info.max):
+        raise ValueError(f"shifts must be reals within float range, got {t!r}")
+    return t if isinstance(t, float) else Fraction(t)
+
+
+def scalar_tag(v) -> object:
+    """Type and float signs of a scalar (== ignores both); refuses non-finite."""
+    if isinstance(v, (float, complex)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"scalars must be finite, got {v!r}")
+        return type(v), math.copysign(1, v.real), math.copysign(1, v.imag)
+    return type(v)
+
+
+def ratio(c: Color, prev: Color) -> Color:
+    """c / prev; a ratio of ints stays exact (an int when it divides)."""
+    if isinstance(c, int) and isinstance(prev, int):
+        q = Fraction(c, prev)
+        return q.numerator if q.denominator == 1 else q
+    return c / prev
+
+
+def cumulative(xi) -> tuple:
+    """Prefix products xi_1, xi_1 xi_2, ... of a color sequence."""
+    return tuple(accumulate(xi, mul, initial=1))[1:]
+
+
+def root_order(c: Color) -> int:
+    """The order of ``c`` as an exact root of unity (never a float), else 0."""
+    if isinstance(c, ExactColor):
+        return c.turns.denominator if c.mag == 1 else 0
+    if isinstance(c, (int, Fraction)) and abs(c) == 1:
+        return 1 if c == 1 else 2
+    return 0

@@ -53,7 +53,7 @@ def scalar_from_json(data):
     if isinstance(data, dict):
         if "re" in data or "im" in data:
             return complex(data.get("re", 0.0), data.get("im", 0.0))
-        if "q" in data and "n" in data:
+        if type(data.get("q")) is int and type(data.get("n")) is int:
             mag = scalar_from_json(data["mag"]) if "mag" in data else 1
             try:
                 return exact_color(Fraction(mag), Fraction(data["q"], data["n"]))
@@ -169,15 +169,15 @@ def report_to_json(report: CheckReport) -> dict:
 
 
 def eval_result_to_json(res: EvalResult) -> dict:
-    return {"value": {"re": res.value.real, "im": res.value.imag},
+    return {"value": scalar_to_json(res.value),
             "error": res.error_estimate,
             "n_used": res.n_used,
             "converged": res.converged}
 
 
 def verify_report_to_json(rep: VerifyReport) -> dict:
-    return {"lhs": {"re": rep.lhs_value.real, "im": rep.lhs_value.imag},
-            "rhs": {"re": rep.rhs_value.real, "im": rep.rhs_value.imag},
+    return {"lhs": scalar_to_json(rep.lhs_value),
+            "rhs": scalar_to_json(rep.rhs_value),
             "residual": rep.residual,
             "tolerance": rep.tolerance,
             "ok": rep.ok,

@@ -20,17 +20,15 @@ is a combination of words. Combinations are immutable values and
 
 from __future__ import annotations
 
-import cmath
-import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AlphabetMismatchError
-from .scalars import Color, Real, color_sort_key
+from .scalars import (Color, Real, check_color, color_sort_key, real_shift,
+                      scalar_tag)
 
 _SUB = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
 _SUP = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
@@ -41,17 +39,6 @@ def _subscript(value) -> str:
     if text.lstrip("-").isdigit():
         return text.translate(_SUB)
     return "_{%s}" % text
-
-
-def _field_tag(v):
-    """A letter field's type plus its float signs, which == ignores;
-    refuses a non-finite float or complex field."""
-    t = type(v)
-    if isinstance(v, (float, complex)):
-        if not cmath.isfinite(v):
-            raise ValueError(f"letter fields must be finite, got {v!r}")
-        return t, math.copysign(1, v.real), math.copysign(1, v.imag)
-    return t
 
 
 # Hash-cons tables, which only grow: letter key -> id, id -> first letter,
@@ -74,7 +61,7 @@ class _Letter:
 
     def __post_init__(self):
         self._check()
-        key = (self, tuple(_field_tag(getattr(self, f))
+        key = (self, tuple(scalar_tag(getattr(self, f))
                            for f in self.__match_args__))
         with _LETTER_LOCK:
             i = _LETTER_IDS.get(key)
@@ -172,16 +159,14 @@ class XForm(_Letter):
     kind = "encoded"
 
     def _check(self):
-        if self.color == 0:
-            raise ValueError("cumulative color must be nonzero")
+        check_color(self.color)
+        real_shift(self.tbar)
 
     def pretty(self) -> str:
         return "x_{%s;%s}" % (self.color, self.tbar)
 
     def sort_key(self) -> tuple:
-        t = self.tbar
-        tf = Fraction(t) if isinstance(t, (int, Fraction)) else t
-        return (1,) + color_sort_key(self.color) + (float(tf),)
+        return (1,) + color_sort_key(self.color) + (float(self.tbar),)
 
 
 Letter = Union[Indexed, MonoidLetter, PairLetter, X0, XForm]

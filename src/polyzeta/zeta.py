@@ -17,24 +17,16 @@ engine and decode the terms.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DiagonalError, DivergenceError, ShapeError
 from .products import DUFFLE, SHUFFLE, star
-from .scalars import Color, Real, color_sort_key
+from .scalars import (Color, Real, check_color, color_sort_key, cumulative,
+                      ratio, real_shift)
 from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
-
-
-def _as_shift(value) -> Real:
-    """Shifts stay exact when given exactly; floats stay floats."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,21 +43,16 @@ class PolyzetaParams:
     def __post_init__(self):
         if not (len(self.s) == len(self.xi) == len(self.t)):
             raise ValueError("s, xi and t must have equal lengths")
-        if any(not isinstance(si, int) or isinstance(si, bool) or si < 1
-               for si in self.s):
+        if any(type(si) is not int or si < 1 for si in self.s):
             raise ValueError("exponents must be positive integers")
-        if any(c == 0 for c in self.xi):
-            raise ValueError("colors must be nonzero")
-        if any(isinstance(ti, complex) for ti in self.t):
-            raise ValueError("shifts must be real")
-        if not all(cmath.isfinite(v) for v in self.xi + self.t
-                   if isinstance(v, (float, complex))):
-            raise ValueError("shifts and colors must be finite")
+        for c, ti in zip(self.xi, self.t):
+            check_color(c)
+            real_shift(ti)
 
     @classmethod
     def of(cls, s: Iterable[int], xi: Iterable[Color],
            t: Iterable[Real]) -> "PolyzetaParams":
-        return cls(tuple(s), tuple(xi), tuple(_as_shift(v) for v in t))
+        return cls(tuple(s), tuple(xi), tuple(map(real_shift, t)))
 
     @property
     def depth(self) -> int:
@@ -76,12 +63,7 @@ class PolyzetaParams:
         return sum(self.s)
 
     def cumulative_colors(self) -> tuple[Color, ...]:
-        out = []
-        c: Color = 1
-        for v in self.xi:
-            c = c * v
-            out.append(c)
-        return tuple(out)
+        return cumulative(self.xi)
 
     def satisfies_condition_e(self) -> bool:
         """All prefix products of colors have modulus <= 1 and all
@@ -178,16 +160,8 @@ def decode(w: Word) -> PolyzetaParams:
             colors.append(letter.color)
             tbs.append(letter.tbar)
             run = 0
-    xi = colors[:1] + [_ratio(c, prev) for prev, c in zip(colors, colors[1:])]
+    xi = colors[:1] + [ratio(c, prev) for prev, c in zip(colors, colors[1:])]
     return PolyzetaParams(tuple(s), tuple(xi), tbar_inverse(tbs))
-
-
-def _ratio(c: Color, prev: Color) -> Color:
-    """c / prev; a ratio of ints stays exact (an int when it divides)."""
-    if isinstance(c, int) and isinstance(prev, int):
-        q = Fraction(c, prev)
-        return q.numerator if q.denominator == 1 else q
-    return c / prev
 
 
 def shuffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:

@@ -207,6 +207,15 @@ def test_exit_code_3_on_domain_errors(capsys):
     # bad word shape
     code, _, err = run(capsys, "decode", "--word", json.dumps([{"kind": "x0"}]))
     assert code == 3
+    # float overflow in the evaluator's kernel
+    for argv in (
+            ("eval", "--params", '{"s": [400], "xi": [1], "t": [0]}'),
+            ("verify", "--mode", "duffle",
+             "--left", '{"s": [400], "xi": [1], "t": [0]}', "--right", ZETA2),
+            ("eval", "--params", '{"s": [2], "xi": [-1.0], "t": [-1e300]}')):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: float range exceeded")
 
 
 def test_exit_code_1_on_failed_residual(capsys):
@@ -247,6 +256,8 @@ def test_verify_command_fails_unconverged_run(capsys):
 
 
 ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
+ROOT_SHIFT = '{"s": [2], "xi": [1], "t": [{"q": 1, "n": 3}]}'
+HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
 
 
 @pytest.mark.parametrize("argv", (
@@ -277,12 +288,25 @@ ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
     ("expand", "--product", "stuffle", "--format", "pretty",
      "--left", '[{"kind": "indexed", "family": 5, "index": 1}]',
      "--right", '[{"kind": "indexed", "family": 5, "index": 2}]'),
+    # a shift is a real within float range, at both places shifts come in
+    ("eval", "--params", ROOT_SHIFT),
+    ("encode", "--params", ROOT_SHIFT),
+    ("decode", "--word", '[{"kind": "xform", "color": {"q": 1, "n": 3}, '
+     '"tbar": {"q": 1, "n": 4}}]'),
+    ("expand", "--product", "shuffle", "--right", "[]", "--left",
+     '[{"kind": "xform", "color": 1, "tbar": {"re": 0.5, "im": 1}}]'),
+    ("eval", "--params", HUGE_SHIFT),
+    ("zeta-expand", "--mode", "shuffle", "--left", HUGE_SHIFT,
+     "--right", ZETA2, "--format", "pretty"),
+    ("eval", "--params", '{"s": [2], "xi": [{"q": true, "n": 3}], "t": [0]}'),
 ), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
         "verify-nmax-1", "non-finite-shift", "eval-tol-inf", "eval-tol-nan",
         "verify-tol-inf", "verify-tol-nan", "float-exponent",
         "bool-exponent", "string-exponent", "float-letter-index",
         "non-finite-letter-value", "non-finite-alphabet",
-        "non-string-family"))
+        "non-string-family", "root-of-unity-shift",
+        "encode-root-of-unity-shift", "root-of-unity-tbar", "complex-tbar",
+        "huge-shift", "huge-shift-pretty-expansion", "boolean-root-numerator"))
 def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

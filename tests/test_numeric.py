@@ -9,7 +9,7 @@ from polyzeta.errors import DivergenceError
 from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
                               check_prop_M, eval_di, partial_M,
                               verify_relation)
-from polyzeta.scalars import root_of_unity
+from polyzeta.scalars import exact_color, root_of_unity, root_order
 from polyzeta.zeta import (LinComb, PolyzetaParams, duffle_expand,
                            shuffle_expand)
 
@@ -79,6 +79,17 @@ def test_check_prop_M_randomized_battery():
         t = F(rng.randint(-3, 0), rng.randint(1, 4))
         lam = lambda k: 1 / (k - t)
         assert check_prop_M(s, xi, r, rho, n, lam)
+
+
+@pytest.mark.parametrize("c, order", (
+    (1, 1), (-1, 2), (F(1), 1), (F(-1), 2),
+    (root_of_unity(1, 3), 3), (root_of_unity(2, 6), 3),
+    (root_of_unity(3, 4), 4), (root_of_unity(5, 12), 12),
+    (2, 0), (F(1, 2), 0), (exact_color(F(1, 2), F(1, 3)), 0),
+    (1.0, 0), (-1.0, 0), (1 + 0j, 0), (complex(0, 1), 0),
+))
+def test_root_order(c, order):
+    assert root_order(c) == order
 
 
 def test_eval_config_validation():

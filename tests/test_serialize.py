@@ -45,6 +45,9 @@ def test_scalar_parse_forms():
         scalar_from_json("3//4")
     with pytest.raises(ParseError):
         scalar_from_json(True)
+    for bad in ({"q": True, "n": 3}, {"q": 1, "n": True}, {"q": 1.0, "n": 3}):
+        with pytest.raises(ParseError):
+            scalar_from_json(bad)
     with pytest.raises(ParseError):
         scalar_from_json({"weird": 1})
 

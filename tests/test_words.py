@@ -10,6 +10,7 @@ import pytest
 from polyzeta.errors import AlphabetMismatchError
 from polyzeta.hopf import coproduct
 from polyzeta.products import mulstuffle
+from polyzeta.scalars import root_of_unity
 from polyzeta.words import (EMPTY_WORD, Indexed, MonoidLetter, PairLetter,
                             Polynomial, Word, X0, XForm, concat, word, x, y)
 from polyzeta.zeta import LinComb, PolyzetaParams
@@ -33,6 +34,11 @@ def test_letter_invariants():
                      lambda v: XForm(v, 0), lambda v: XForm(1, v)):
             with pytest.raises(ValueError):
                 make(bad)
+    # a shift difference is a real within float range
+    for bad in (root_of_unity(1, 3), complex(0.5, 1), True, 10**400,
+                F(-10**400)):
+        with pytest.raises(ValueError):
+            XForm(1, bad)
     for family in (5, None, b"y"):
         with pytest.raises(ValueError):
             Indexed(1, family)

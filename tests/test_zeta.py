@@ -32,10 +32,15 @@ def test_params_validation():
 @pytest.mark.parametrize("xi, t", (
     ((float("inf"),), (0,)), ((complex(0.5, float("nan")),), (0,)),
     ((1,), (float("-inf"),)), ((1,), (float("nan"),)),
+    # a shift is a real within float range
+    ((1,), (root_of_unity(1, 3),)), ((1,), (complex(0.5, 1),)),
+    ((1,), (True,)), ((1,), (10**400,)), ((1,), (F(-10**400),)),
 ))
 def test_params_reject_non_finite_scalars(xi, t):
     with pytest.raises(ValueError):
         P((2,), xi, t)
+    with pytest.raises(ValueError):
+        PolyzetaParams((2,), xi, t)
 
 
 def test_condition_e_and_convergence():
