@@ -32,20 +32,12 @@ class TensorPolynomial(Combination):
 
     def star(self, br: Bracket, other: "TensorPolynomial") -> "TensorPolynomial":
         """Componentwise bracket product of tensors."""
-        out: dict = {}
-        for (u1, u2), c1 in self.terms.items():
-            for (v1, v2), c2 in other.terms.items():
-                c12 = c1 * c2
-                left = _star_words(br, u1, v1)
-                right = _star_words(br, u2, v2)
-                for w1, a in left.items():
-                    ca = c12 * a
-                    for w2, b in right.items():
-                        key = (w1, w2)
-                        c = ca * b
-                        prev = out.get(key)
-                        out[key] = c if prev is None else prev + c
-        return TensorPolynomial._raw({k: c for k, c in out.items() if c != 0})
+        return TensorPolynomial(
+            ((w1, w2), c1 * c2 * a * b)
+            for (u1, u2), c1 in self.terms.items()
+            for (v1, v2), c2 in other.terms.items()
+            for w1, a in _star_words(br, u1, v1).items()
+            for w2, b in _star_words(br, u2, v2).items())
 
 
 def coproduct(w: Union[Word, Polynomial]) -> TensorPolynomial:
@@ -90,15 +82,17 @@ def antipode(br: Bracket, w: Word) -> Polynomial:
         prefix = w[:m]
         res = memo.get(prefix)
         if res is None:
-            res = Polynomial.zero()
+            blocks = []  # (contracted first block, its sign, the rest's S)
             coeff, head = -1, letters[m - 1]
             for j in range(1, m + 1):
-                res += prefixes[m - j].prepended(head, coeff)
+                blocks.append((head, coeff, prefixes[m - j]))
                 pair = br.apply(head, letters[m - 1 - j]) if j < m else None
                 if pair is None:
                     break
                 coeff, head = -coeff * pair[0], pair[1]
-            memo[prefix] = res
+            res = memo[prefix] = Polynomial(
+                (u.prepended(a), k * c) for a, k, rest in blocks
+                for u, c in rest)
         prefixes.append(res)
     return prefixes[-1]
 
@@ -121,10 +115,10 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
         prefix = w[:m]
         res = memo.get(prefix)
         if res is None:
-            res = Polynomial.monomial(prefix, -1)
-            for k in range(1, m):
-                res -= star(br, prefixes[k], prefix[k:])
-            memo[prefix] = res
+            res = memo[prefix] = Polynomial(itertools.chain(
+                ((prefix, -1),),
+                ((u, -c) for k in range(1, m)
+                 for u, c in star(br, prefixes[k], prefix[k:]))))
         prefixes.append(res)
     return prefixes[-1]
 
@@ -213,11 +207,11 @@ def check_antipode(br: Bracket, maxlen: int,
     for n in range(maxlen + 1):
         for w in _words_of_length(alphabet, n):
             expect = Polynomial.one() if n == 0 else Polynomial.zero()
-            left = right = Polynomial.zero()
-            for i in range(n + 1):
-                u, v = w[:i], w[i:]
-                left += star(br, antipode(br, u), v)
-                right += star(br, u, antipode(br, v))
+            splits = [(w[:i], w[i:]) for i in range(n + 1)]
+            left = Polynomial(term for u, v in splits
+                              for term in star(br, antipode(br, u), v))
+            right = Polynomial(term for u, v in splits
+                               for term in star(br, u, antipode(br, v)))
             checked += 1
             if left != expect:
                 return CheckReport("antipode-left", False, checked, {"word": w})

@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
+from .scalars import in_range
 from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
-                    Word, _word)
+                    Word, _canonical, _word)
 
 BracketResult = Optional[tuple[object, Letter]]
 
@@ -96,13 +97,9 @@ def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
                      (entry(i, j + 1), v._ids[j], 1)]
             if pair is not None:
                 parts.append((entry(i + 1, j + 1), pair[1]._id, pair[0]))
-            acc: dict = {}
-            for terms, head, factor in parts:
-                for w, c in terms.items():
-                    nw = _word((head,) + w._ids)
-                    prev = acc.get(nw)
-                    acc[nw] = factor * c if prev is None else prev + factor * c
-            memo[us[i], vs[j]] = {w: c for w, c in acc.items() if c != 0}
+            memo[us[i], vs[j]] = _canonical(
+                (_word((head,) + w._ids), factor * c)
+                for terms, head, factor in parts for w, c in terms.items())
     return entry(0, 0)
 
 
@@ -113,15 +110,9 @@ def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomi
         return Polynomial._raw(_star_words(br, left, right))
     lt = left.terms if isinstance(left, Polynomial) else {left: 1}
     rt = right.terms if isinstance(right, Polynomial) else {right: 1}
-    out: dict = {}
-    for u, cu in lt.items():
-        for v, cv in rt.items():
-            cuv = cu * cv
-            for w, c in _star_words(br, u, v).items():
-                c = cuv * c
-                prev = out.get(w)
-                out[w] = c if prev is None else prev + c
-    return Polynomial._raw({w: c for w, c in out.items() if c != 0})
+    return Polynomial((w, cu * cv * c) for u, cu in lt.items()
+                      for v, cv in rt.items()
+                      for w, c in _star_words(br, u, v).items())
 
 
 def _zero_bracket(a: Letter, b: Letter) -> BracketResult:
@@ -142,11 +133,11 @@ def _index_sum(sign: int) -> Callable[[Indexed, Indexed], BracketResult]:
 
 
 def _value_product(a: MonoidLetter, b: MonoidLetter) -> BracketResult:
-    return (1, MonoidLetter(a.value * b.value))
+    return (1, MonoidLetter(in_range(a.value * b.value)))
 
 
 def _pair_contraction(a: PairLetter, b: PairLetter) -> BracketResult:
-    return (1, PairLetter(a.index + b.index, a.value * b.value))
+    return (1, PairLetter(a.index + b.index, in_range(a.value * b.value)))
 
 
 SHUFFLE = Bracket("shuffle", _zero_bracket, kinds=None)

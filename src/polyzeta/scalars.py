@@ -15,7 +15,8 @@ stay exact; anything mixed with a float goes float.
 
 Every rule that branches on scalar types lives here: ``check_color``,
 ``real_shift`` (a shift is a real within float range), ``scalar_tag`` (a
-letter field's identity beyond ``==``), ``ratio``, ``cumulative``,
+letter field's identity beyond ``==``), ``in_range`` (a computed value
+past float range is an overflow), ``ratio``, ``cumulative``,
 ``root_order`` and ``color_sort_key``.
 """
 
@@ -34,6 +35,9 @@ Real = Union[int, float, Fraction]
 Color = Union[int, Fraction, float, complex, "ExactColor"]
 
 _HALF = Fraction(1, 2)
+# the largest float as an int: a Fraction compares with it exactly, about
+# three times faster than with the float itself
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +139,7 @@ def real_shift(t) -> Real:
     """A shift within float range, where the evaluator reads it: exact
     values become Fractions, floats stay floats, anything else is refused."""
     if (isinstance(t, bool) or not isinstance(t, (int, Fraction, float))
-            or not abs(t) <= sys.float_info.max):
+            or not abs(t) <= _FLOAT_MAX):
         raise ValueError(f"shifts must be reals within float range, got {t!r}")
     return t if isinstance(t, float) else Fraction(t)
 
@@ -149,17 +153,29 @@ def scalar_tag(v) -> object:
     return type(v)
 
 
+def in_range(v, shift: bool = False):
+    """``v``, a value the library computed from valid scalars. Past float
+    range it is a float overflow (``OverflowError``), not the caller's
+    error: a float or complex that is not finite, or a shift beyond
+    ``sys.float_info.max``."""
+    if (not abs(v) <= _FLOAT_MAX if shift
+            else isinstance(v, (float, complex)) and not cmath.isfinite(v)):
+        raise OverflowError("computed shift beyond float range" if shift
+                            else f"computed value {v!r}")
+    return v
+
+
 def ratio(c: Color, prev: Color) -> Color:
     """c / prev; a ratio of ints stays exact (an int when it divides)."""
     if isinstance(c, int) and isinstance(prev, int):
         q = Fraction(c, prev)
         return q.numerator if q.denominator == 1 else q
-    return c / prev
+    return in_range(c / prev)
 
 
 def cumulative(xi) -> tuple:
     """Prefix products xi_1, xi_1 xi_2, ... of a color sequence."""
-    return tuple(accumulate(xi, mul, initial=1))[1:]
+    return tuple(map(in_range, accumulate(xi, mul, initial=1)))[1:]
 
 
 def root_order(c: Color) -> int:

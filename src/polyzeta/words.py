@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -275,20 +275,17 @@ def concat(u: Word, v: Word) -> Word:
     return _word(u._ids + v._ids)
 
 
-def _merge(data: dict, items) -> dict:
-    """Add ``(key, coefficient)`` pairs into ``data`` in place, deleting
-    keys whose coefficients cancel; returns ``data``."""
+def _canonical(items) -> dict:
+    """Sum ``(key, coefficient)`` pairs in one pass: equal keys add, keys
+    keep the order in which they first appear, and zero sums are dropped
+    at the end. Every combination is summed here."""
+    out: dict = {}
     for key, c in items:
-        prev = data.get(key)
-        if prev is None:
-            data[key] = c
-        else:
-            prev = prev + c
-            if prev == 0:
-                del data[key]
-            else:
-                data[key] = prev
-    return data
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    if 0 in out.values():  # rebuilding rehashes every key, which may be slow
+        out = {k: c for k, c in out.items() if c != 0}
+    return out
 
 
 def _sort_key(key):
@@ -313,8 +310,7 @@ class Combination:
 
     def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
         items = (terms.items() if isinstance(terms, Mapping) else terms) or ()
-        self.terms = MappingProxyType(
-            _merge({}, ((k, c) for k, c in items if c != 0)))
+        self.terms = MappingProxyType(_canonical(items))
 
     @classmethod
     def _raw(cls, data: dict):
@@ -358,7 +354,7 @@ class Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._raw(_merge(dict(self.terms), other.terms.items()))
+        return type(self)(chain(self, other))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -370,9 +366,7 @@ class Combination:
         if isinstance(scalar, Combination):
             raise TypeError("combinations multiply through a product such "
                             "as star, not '*'")
-        if scalar == 0:
-            return self._raw({})
-        return self._raw({k: scalar * c for k, c in self.terms.items()})
+        return type(self)((k, scalar * c) for k, c in self)
 
     __mul__ = __rmul__
 
@@ -398,8 +392,7 @@ class Polynomial(Combination):
         """Left-multiply every word by a letter, optionally scaling."""
         if factor == 0:
             return Polynomial._raw({})
-        return Polynomial._raw(
-            {w.prepended(letter): factor * c for w, c in self.terms.items()})
+        return Polynomial((w.prepended(letter), factor * c) for w, c in self)
 
     def pretty(self) -> str:
         if not self.terms:
@@ -412,5 +405,5 @@ class Polynomial(Combination):
                 sign = "-" if c < 0 else "+"
                 mag = -c if c < 0 else c
                 coeff = "" if mag == 1 and w else str(mag)
-            text += f" {sign} {coeff}{w.pretty()}"
+            text += f" {sign} {coeff}{w.pretty() if w else ''}"
         return text[3:] if text.startswith(" + ") else "-" + text[3:]

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DiagonalError, DivergenceError, ShapeError
 from .products import DUFFLE, SHUFFLE, star
 from .scalars import (Color, Real, check_color, color_sort_key, cumulative,
-                      ratio, real_shift)
+                      in_range, ratio, real_shift)
 from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
@@ -109,7 +109,8 @@ class LinComb(Combination):
 def tbar(t: Sequence[Real]) -> tuple[Real, ...]:
     """Consecutive differences of the shifts: tb_i = t_i - t_(i+1) for
     i < r and tb_r = t_r, the unique map inverted by suffix sums."""
-    return tuple(a - b for a, b in zip(t, t[1:])) + tuple(t[-1:])
+    return tuple(in_range(a - b, shift=True)
+                 for a, b in zip(t, t[1:])) + tuple(t[-1:])
 
 
 def tbar_inverse(tb: Sequence[Real]) -> tuple[Real, ...]:
@@ -117,7 +118,7 @@ def tbar_inverse(tb: Sequence[Real]) -> tuple[Real, ...]:
     out = []
     acc: Real = 0
     for v in reversed(tb):
-        acc = v + acc
+        acc = in_range(v + acc, shift=True)
         out.append(acc)
     return tuple(reversed(out))
 

@@ -6,11 +6,11 @@ summation instead of the level dynamic program.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import fsum
+from itertools import accumulate, combinations, product
+from math import factorial, fsum, prod
 
-from polyzeta.products import Bracket
-from polyzeta.words import Word
+from polyzeta.products import SHUFFLE, Bracket, star
+from polyzeta.words import Polynomial, Word
 
 
 def star_oracle(br: Bracket, u: Word, v: Word) -> dict:
@@ -119,3 +119,88 @@ def rational_grid(rng, lo=-3, hi=3, qmax=4) -> Fraction:
     while p == 0:
         p = rng.randint(lo, hi)
     return Fraction(p, rng.randint(1, qmax))
+
+
+def lyndon_factors(w: Word) -> list:
+    """Chen-Fox-Lyndon factors l1 >= l2 >= ... of w in the letter order of
+    ``sort_key``, by Duval's algorithm (J. Algorithms 4, 1983)."""
+    keys = [letter.sort_key() for letter in w]
+    factors, i = [], 0
+    while i < len(w):
+        j, k = i + 1, i
+        while j < len(w) and keys[k] <= keys[j]:
+            k = i if keys[k] < keys[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(w[i:i + j - k])
+            i += j - k
+    return factors
+
+
+def lyndon_failures(br: Bracket, alphabet, length: int) -> list:
+    """Words w of the given length that break the leading-term theorem
+    (Radford, J. Algebra 58, 1979): the product of w's Lyndon factors has
+    w as its lexicographically largest word of length |w|, with
+    coefficient prod m_i! over the multiplicities of equal factors."""
+    failures = []
+    for letters in product(alphabet, repeat=length):
+        w = Word(letters)
+        factors = lyndon_factors(w)
+        p = Polynomial.monomial(factors[0])
+        for f in factors[1:]:
+            p = star(br, p, f)
+        top = max((u for u, _ in p if len(u) == length),
+                  key=lambda u: [letter.sort_key() for letter in u])
+        counts: dict = {}
+        for f in factors:
+            counts[f] = counts.get(f, 0) + 1
+        if top != w or p.coeff(w) != prod(map(factorial, counts.values())):
+            failures.append(w)
+    return failures
+
+
+def compositions(n: int):
+    """Every composition of n, as a tuple of positive block sizes."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def _contract(br: Bracket, block: Word):
+    """(coefficient / |block|!, letter) of a block contracted through the
+    bracket, or None when a bracket in it is zero."""
+    coeff, head = Fraction(1, factorial(len(block))), block[0]
+    for b in block[1:]:
+        hit = br.apply(head, b)
+        if hit is None:
+            return None
+        coeff, head = coeff * hit[0], hit[1]
+    return coeff, head
+
+
+def hoffman_exp(br: Bracket, terms) -> Polynomial:
+    """Hoffman's exponential on (word, coefficient) pairs: exp(w) sums
+    I[w] / (i1! ... ik!) over the compositions I of |w|, where I[w]
+    contracts each block of w into one scaled letter through the bracket
+    (a zero bracket drops the term)."""
+    out: dict = {}
+    for w, c in terms:
+        for sizes in compositions(len(w)):
+            cuts = list(accumulate(sizes, initial=0))
+            blocks = [_contract(br, w[a:b]) for a, b in zip(cuts, cuts[1:])]
+            if None not in blocks:
+                key = Word(head for _, head in blocks)
+                out[key] = out.get(key, 0) + c * prod(k for k, _ in blocks)
+    return Polynomial(out)
+
+
+def hoffman_failures(br: Bracket, pairs) -> list:
+    """Word pairs (u, v) that break exp(u) * exp(v) = exp(u sh v), the
+    isomorphism from the shuffle algebra onto the bracket's algebra
+    (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000);
+    the shuffle comes from ``star_oracle``."""
+    return [(u, v) for u, v in pairs
+            if star(br, hoffman_exp(br, [(u, 1)]), hoffman_exp(br, [(v, 1)]))
+            != hoffman_exp(br, star_oracle(SHUFFLE, u, v).items())]

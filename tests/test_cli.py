@@ -218,6 +218,39 @@ def test_exit_code_3_on_domain_errors(capsys):
         assert err.startswith("error: float range exceeded")
 
 
+MONOID_MAX = '[{"kind": "monoid", "value": 1e308}]'
+PAIR_MAX = '[{"kind": "pair", "index": 1, "value": 1e308}]'
+FORM_MAX = '{"kind": "xform", "color": 1, "tbar": 1e308}'
+
+
+@pytest.mark.parametrize("argv", (
+    ("expand", "--product", "mulstuffle", "--left", MONOID_MAX,
+     "--right", MONOID_MAX),
+    ("expand", "--product", "duffle", "--left", PAIR_MAX, "--right", PAIR_MAX),
+    ("encode", "--params", '{"s": [1, 1], "xi": [1, 1], "t": [-1e308, 1e308]}'),
+    ("encode", "--params",
+     '{"s": [1, 1], "xi": [1, 1], "t": ["-1e308", "1e308"]}'),
+    ("encode", "--params", '{"s": [1, 1], "xi": [1e200, 1e200], "t": [0, 0]}'),
+    ("decode", "--word", f"[{FORM_MAX}, {FORM_MAX}]"),
+    ("verify", "--mode", "shuffle",
+     "--left", '{"s": [2], "xi": [1], "t": ["1/3"]}',
+     "--right", '{"s": [2], "xi": [{"re": -1e-320, "im": 0}], "t": [0]}'),
+), ids=("mulstuffle-value-product", "duffle-pair-contraction",
+        "float-tbar-difference", "exact-tbar-difference", "cumulative-color",
+        "tbar-suffix-sum", "color-ratio"))
+def test_library_float_overflow_is_a_domain_error(capsys, argv):
+    # valid inputs whose library arithmetic leaves float range
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: float range exceeded")
+
+
+def test_antipode_of_the_empty_word_pretty(capsys):
+    code, out, _ = run(capsys, "antipode", "--product", "stuffle",
+                       "--word", "[]", "--format", "pretty")
+    assert (code, out) == (0, "1\n")
+
+
 def test_exit_code_1_on_failed_residual(capsys):
     # a residual threshold below float noise cannot be met
     a = PolyzetaParams.of((3,), (0.5,), (0.0,))

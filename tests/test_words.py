@@ -131,6 +131,21 @@ def test_pretty_forms():
     assert p.pretty() == "-y₂ + 2y₁²"
 
 
+def test_scaling_drops_coefficients_that_underflow():
+    p = Polynomial.monomial(word(y(1)), 1e-200)
+    assert 1e-200 * p == Polynomial.zero()
+    assert p.prepended(y(2), 1e-200) == Polynomial.zero()
+    assert 0 * p == Polynomial.zero() and 2 * p == p + p
+
+
+@pytest.mark.parametrize("coeff, text", (
+    (1, "1"), (3, "3"), (F(1, 2), "1/2"), (-1, "-1"), (F(-3, 4), "-3/4")))
+def test_pretty_prints_the_empty_word_as_its_coefficient(coeff, text):
+    assert Polynomial.monomial(EMPTY_WORD, coeff).pretty() == text
+    p = Polynomial([(EMPTY_WORD, coeff), (word(y(1)), 2)])
+    assert p.pretty() == text + " + 2y₁"
+
+
 def test_words_are_hash_consed():
     ls = [x(0), x(1), x(0)]
     assert Word(ls) is Word(ls) is word(*ls)
