@@ -11,10 +11,14 @@ sum over the contraction-product expansion at every finite cutoff.
 
 ``eval_di`` evaluates a convergent parameter set by running the same
 dynamic program with per-level weights 1/(k - t_i) and doubling the cutoff
-until the increment plus an analytic tail estimate drops under tolerance.
-At exact roots of unity it also extrapolates the partial sums at
-multiples of the lcm of the color orders, where every oscillating factor
-is 1, in the basis {1, N^-j log^k N}, and stops at whichever check passes.
+until the increment plus a tail bound and the float rounding drops under
+tolerance. The tail bound holds at every depth: it bounds each inner level
+by what it can sum to. Where every cumulative color has modulus below 1,
+the sum also stops at cutoffs 8, 16, ... below the first one, once the
+bound shows that no later column can change the float value. At exact
+roots of unity it also extrapolates the partial sums at multiples of the
+lcm of the color orders, where every oscillating factor is 1, in the basis
+{1, N^-j log^k N}, and stops at whichever check passes.
 Internally the recursion is written in terms of *cumulative* colors, whose
 moduli stay <= 1 under the convergence hypothesis, so no intermediate
 quantity can overflow even when individual color ratios exceed 1.
@@ -40,8 +44,10 @@ _FIT_ROWS = 13  # past 1 + J*depth = 13 the fit is too ill-conditioned
 
 @dataclass(frozen=True, slots=True)
 class EvalConfig:
-    """Knobs for the doubling evaluator; ``n_start == n_max`` sums to one
-    fixed cutoff."""
+    """Knobs for the doubling evaluator. The doubling starts at
+    ``n_start``; a geometric sum may stop below it, where no later column
+    can change its float value. ``n_start == n_max`` sums to one fixed
+    cutoff."""
 
     tolerance: float = 1e-10
     n_start: int = 2**10
@@ -62,10 +68,12 @@ class EvalResult:
 
     ``value`` is the partial sum below ``n_used``, or the limit extrapolated
     from the partial sums up to it when the fit decided; ``error_estimate``
-    is the last doubling increment plus an analytic tail estimate, or the
-    disagreement of the fits, with float rounding where the colors do not
-    damp the sum (an estimate, not a certified bound). ``converged`` holds
-    exactly when it is within tolerance. ``trace``: one row per cutoff.
+    is the last increment plus a tail bound plus the float rounding, or the
+    disagreement of the fits plus rounding (an estimate; so is the plain
+    one for s1 = 1 at unit modulus, where the last column stands in for the
+    tail). It is infinite where no tail bound holds yet. ``converged``
+    holds exactly when it is within tolerance. ``trace``: one row per
+    cutoff.
     """
 
     value: complex
@@ -188,30 +196,45 @@ def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
         yield acc[r - 1], comp[r - 1], h, mass
 
 
-def _tail_estimate(p: PolyzetaParams, last: complex, mass: float,
-                   cutoff: int) -> float:
-    """Analytic tail estimate past the cutoff, given the last column and
-    the summed column magnitudes below it.
+def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
+    """Bound on the sum of |term| over every index tuple with n1 >= cutoff,
+    where q is the largest modulus of the cumulative colors c_i.
 
-    Geometric when every cumulative color has modulus < 1. The polynomial
-    regime bounds the depth-1 tail sum over k >= cutoff of (k - t1)^(-s1)
-    by its integral from cutoff - 1, (cutoff - 1 - t1)^(1-s1) / (s1-1),
-    widens it by (1+ln cutoff)^(r-1) for the inner levels, and adds the
-    float rounding of the partial sum: a few ulps per level and per unit
-    of exponent, relative to the summed column magnitudes. The leftover
-    corner (s1 = 1 with a unit-modulus inner prefix product) falls back to
-    the magnitude of the last column, surfaced as an estimate only.
+    A term has modulus at most q^n1 (n1 - t1)^(-s1) times its inner levels,
+    and the levels below n1 sum to at most B_i(n1) = (1 - t_i)^(-s_i) +
+    integral from 1 to n1 of (x - t_i)^(-s_i) dx (all s_i >= 1). Past
+    N = cutoff, B_i grows at most like B_i(N) e^(b_i (n - N)) and like
+    B_i(N) ((n - t1) / D)^(g_i), where D = N - 1 - t1,
+    b_i = (N - t_i)^(-s_i) / B_i(N) and g_i = max(N - t_i, D) b_i. So, with
+    B = prod over i >= 2 of B_i(N),
+
+        geometric (q < 1):   (N - t1)^(-s1) B q^N / (1 - q e^(sum b_i))
+        polynomial (s1 > 1): B D^(1 - s1) / (s1 - 1 - sum g_i)
+
+    and the least of those that apply; a bound is infinite where its
+    denominator is not positive. At depth 1 the polynomial bound is the
+    integral of the tail from N - 1. s1 = 1 at unit modulus has none.
     """
-    q = max(abs(c) for c in p.cumulative_colors())
-    if q < 1:
-        qf = float(q)
-        return abs(last) * qf / (1.0 - qf)
-    s1 = p.s[0]
-    if s1 > 1:
-        tail = ((cutoff - 1 - float(p.t[0])) ** (1 - s1)
-                * (1.0 + math.log(cutoff)) ** (p.depth - 1) / (s1 - 1))
-        return tail + (p.weight + 2 * p.depth) * _EPS * mass
-    return abs(last)
+    s1, t1 = p.s[0], float(p.t[0])
+    d = cutoff - 1 - t1
+    inner, rate, growth = 1.0, 0.0, 0.0
+    for si, ti in zip(p.s[1:], p.t[1:]):
+        ti = float(ti)
+        if si == 1:
+            b = 1 / (1 - ti) + math.log((cutoff - ti) / (1 - ti))
+        else:
+            b = (1 - ti) ** -si + ((1 - ti) ** (1 - si)
+                                   - (cutoff - ti) ** (1 - si)) / (si - 1)
+        inner *= b
+        bi = (cutoff - ti) ** -si / b if b > 0 else 0.0
+        rate += bi
+        growth += max(cutoff - ti, d) * bi
+    bound, ratio = math.inf, q * math.exp(rate)
+    if ratio < 1:
+        bound = (cutoff - t1) ** -s1 * inner * q ** cutoff / (1 - ratio)
+    if s1 > 1 and growth < s1 - 1:
+        bound = min(bound, inner * d ** (1 - s1) / (s1 - 1 - growth))
+    return bound
 
 
 def _extrapolate(rows: list, order: int, depth: int) -> complex:
@@ -242,12 +265,19 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate a convergent parameter set by truncated summation.
 
     The plain check doubles the cutoff from ``cfg.n_start`` and passes when
-    increment plus tail estimate is within tolerance. When every cumulative
-    color is an exact root of unity, rows at multiples of their order lcm,
-    spaced by about 1.25, feed a fit of order J + 1 <= _FIT_MAX_ORDER on at
-    most _FIT_ROWS rows. Its estimate is the largest of its gap to the
-    order-J fit and its last two changes from fit to fit, plus 100 times the
-    rounding term. The first check to pass gives the result; at
+    increment plus tail bound plus rounding is within tolerance. When every
+    cumulative color has modulus below 1 and ``n_start < n_max``, the
+    checkpoints 8, 16, ... below ``n_start`` come first. One of them counts
+    only once the tail bound is at most epsilon/2 times |partial sum|, so
+    that no later column can change the float value; its estimate is the
+    increment since the last row plus bound plus rounding. A sum settled in
+    that sense also stops, flagged unconverged, once its rounding term
+    alone exceeds the tolerance, which no later cutoff could meet. When
+    every cumulative color is an exact root of unity, rows at multiples of
+    their order lcm, spaced by about 1.25, feed a fit of order
+    J + 1 <= _FIT_MAX_ORDER on at most _FIT_ROWS rows. Its estimate is the
+    largest of its gap to the order-J fit and its last two changes from fit
+    to fit, plus 100 times the rounding term. The first check to pass gives the result; at
     ``cfg.n_max`` the smaller estimate does, flagged unconverged. Divergent
     input raises.
     """
@@ -260,10 +290,15 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
 
+    cum = p.cumulative_colors()
     checkpoints = [cfg.n_start]
     while checkpoints[-1] < cfg.n_max:
         checkpoints.append(min(2 * checkpoints[-1], cfg.n_max))
-    lcm = math.lcm(*map(root_order, p.cumulative_colors()))  # 0: no grid
+    q = float(max(abs(c) for c in cum))
+    if checkpoints[1:] and q < 1:
+        checkpoints[:0] = [2**k for k in
+                           range(3, (cfg.n_start - 1).bit_length())]
+    lcm = math.lcm(*map(root_order, cum))  # 0: no grid
     grid, n = set(), float(cfg.n_start)
     while lcm and n <= cfg.n_max:
         if cfg.n_start <= lcm * round(n / lcm) <= cfg.n_max:
@@ -272,7 +307,14 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     cutoffs = sorted(grid.union(checkpoints))
     trace, aligned, changes = [], [], [math.inf]
     noise = 100 * (p.weight + 2 * p.depth) * _EPS  # 100 x the rounding term
+    # the plain rounding term per unit of summed |column| also covers an
+    # exact shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
+    # by at most s_i / (1 - t_i)
+    ulps = (p.weight + 2 * p.depth) * _EPS + sum(
+        si * math.ulp(float(ti)) / 2 / (1 - float(ti))
+        for si, ti in zip(p.s, p.t) if float(ti) != ti)
     previous = plain = fit = None  # plain and fit: (value, error estimate)
+    settled = False
     for cutoff, (head, tail, last, mass) in zip(cutoffs,
                                                  _partial_sums(p, cutoffs)):
         value = head + tail
@@ -289,11 +331,22 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         trace.append(TraceRow(cutoff, value, increment,
                               0 if gap is None else order, gap))
         if cutoff in checkpoints:
-            step = abs(last) if previous is None else abs(value - previous)
-            plain = (value, step + _tail_estimate(p, last, mass, cutoff))
-            previous = value
+            bound = _tail_bound(p, q, cutoff)
+            rounding = ulps * mass
+            # a geometric sum settles where no later column can change it
+            settled = q < 1 and bound <= _EPS / 2 * abs(value)
+            if cutoff < cfg.n_start:
+                if not settled:
+                    continue
+                step = increment
+            else:
+                step = abs(last) if previous is None else abs(value - previous)
+                previous = value
+            # s1 = 1 at unit modulus has no bound: the last column estimates
+            plain = (value, step + (abs(last) if p.s[0] == 1 and q >= 1
+                                    else bound + rounding))
         best = plain if fit is None or plain[1] <= fit[1] else fit
-        if best[1] <= cfg.tolerance:
+        if best[1] <= cfg.tolerance or settled and rounding > cfg.tolerance:
             break
     return EvalResult(best[0], best[1], cutoff, best[1] <= cfg.tolerance,
                       tuple(trace))

@@ -400,7 +400,9 @@ class Polynomial(Combination):
         text = ""
         for w, c in self.sorted_terms():
             if isinstance(c, complex):
-                coeff, sign = f"({c})", "+"
+                # str already brackets a complex with a real part
+                coeff, sign = str(c), "+"
+                coeff = coeff if coeff.startswith("(") else f"({coeff})"
             else:
                 sign = "-" if c < 0 else "+"
                 mag = -c if c < 0 else c

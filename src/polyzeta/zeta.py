@@ -17,7 +17,7 @@ engine and decode the terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import DiagonalError, DivergenceError, ShapeError
@@ -39,6 +39,9 @@ class PolyzetaParams:
     s: tuple[int, ...] = ()
     xi: tuple[Color, ...] = ()
     t: tuple[Real, ...] = ()
+    # combinations of terms hash them often, and colors and shifts are
+    # mostly Fractions, which hash slowly
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.s) == len(self.xi) == len(self.t)):
@@ -48,6 +51,14 @@ class PolyzetaParams:
         for c, ti in zip(self.xi, self.t):
             check_color(c)
             real_shift(ti)
+        object.__setattr__(self, "_hash", hash((self.s, self.xi, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is recomputed
+        return (PolyzetaParams, (self.s, self.xi, self.t))
 
     @classmethod
     def of(cls, s: Iterable[int], xi: Iterable[Color],

@@ -213,14 +213,14 @@ _W3 = root_of_unity(1, 3)
      EvalConfig(n_max=2**13),
      ("(-0.025366929794403654+0.026980106754555967j)",
       5.906855775826421e-09, 2**13, False)),
-    # geometric tail, converged at the first cutoff
+    # geometric tail, stopped once no later column changes the float
     (P((2, 1), (F(-2, 3), F(1, 2)), (F(1, 5), F(-1, 3))), EvalConfig(),
-     ("(0.038226604194245895+0j)", 1.1272711104236649e-186, 2**10, True)),
+     ("(0.038226604194245895+0j)", 5.702387723062812e-16, 2**7, True)),
     # off the fit path, as before it: a float unit color, mixed moduli
     (P((2,), (-1.0,), (0,)), EvalConfig(n_max=2**14),
      ("(-0.822467035286872+0j)", 6.104447050040251e-05, 2**14, False)),
     (P((2, 2), (F(1, 2), 2), (0, F(1, 3))), EvalConfig(n_max=2**14),
-     ("(0.4098479699594618+0j)", 0.000653363885524515, 2**14, False)),
+     ("(0.4098479699594618+0j)", 0.00022889580722107894, 2**14, False)),
 ])
 def test_eval_golden_values(p, cfg, expected):
     # bit-exact pins: any change to the summation order shows up here
@@ -357,3 +357,235 @@ def test_verify_refuses_non_finite_residual_tolerance(tol):
     wrong = LinComb.monomial(P((2,), (F(1, 5),), (0,)))
     with pytest.raises(ValueError):
         verify_relation((a, b), wrong, residual_tolerance=tol)
+
+
+# --- honesty battery: error_estimate >= |value - mpmath| ------------------
+
+def _mp(v):
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(v, F):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpmathify(v)
+
+
+def _power_sum(x, s, t):
+    """sum over m >= 1 of x^m / (m - t)^s."""
+    mpmath = pytest.importorskip("mpmath")
+    return (mpmath.zeta(s, 1 - t) if x == 1
+            else x * mpmath.lerchphi(x, s, 1 - t))
+
+
+def _diagonal_ref(depth, s, xi, t):
+    """The diagonal sum as the elementary symmetric function of its terms,
+    by Newton's identities on the power sums."""
+    mpmath = pytest.importorskip("mpmath")
+    # the identities cancel about depth * s * log10(1 / (1 - t)) digits
+    with mpmath.workdps(30 + int(depth * s * -math.log10(min(1, 1 - t)))):
+        x, tt = _mp(xi), _mp(t)
+        p = [None] + [_power_sum(x**j, j * s, tt)
+                      for j in range(1, depth + 1)]
+        if depth == 1:
+            return complex(p[1])
+        if depth == 2:
+            return complex((p[1]**2 - p[2]) / 2)
+        return complex((p[1]**3 - 3 * p[1] * p[2] + 2 * p[3]) / 6)
+
+
+def _direct_ref(s, xi, t, cutoff):
+    """The nested sum below ``cutoff`` in mpmath, level by level."""
+    xs, ts = [_mp(v) for v in xi], [_mp(v) for v in t]
+    below = [0] * len(s) + [1]  # below[i]: levels i.. over indices < m
+    for m in range(1, cutoff):
+        for i in range(len(s)):
+            below[i] += xs[i]**m / (m - ts[i])**s[i] * below[i + 1]
+    return below[0]
+
+
+def _unit_ref(s, t):
+    """All colors 1 and inner exponents >= 2: the outer terms times the
+    inner partial sums have an expansion in 1/n1, so Richardson
+    extrapolation of the outer sum converges."""
+    mpmath = pytest.importorskip("mpmath")
+    ts = [_mp(v) for v in t]
+    below, inner = [0] * len(s) + [1], [0]
+
+    def term(n):
+        n = int(n)
+        while len(inner) < n:
+            m = len(inner)
+            for i in range(1, len(s)):
+                below[i] += below[i + 1] / (m - ts[i])**s[i]
+            inner.append(below[1] if len(s) > 1 else 1)
+        return inner[n - 1] / (n - ts[0])**s[0]
+
+    return mpmath.nsum(term, [1, mpmath.inf], method="richardson")
+
+
+def _mixed_ref(s, c1, t):
+    """Depth 2 with cumulative colors (c1, 1), |c1| < 1: the sum over n2 of
+    f2(n2) times the sum over k >= 1 of c1^k f1(n2 + k), whose geometric
+    inner sum is cut where c1^k drops under the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    c, t1, t2 = _mp(c1), _mp(t[0]), _mp(t[1])
+    cut = int(mpmath.mp.dps / -mpmath.log10(abs(c))) + 2
+    powers = [c**k for k in range(1, cut)]
+    return mpmath.nsum(lambda n: mpmath.fsum(
+        ck / (n + k - t1)**s[0] for k, ck in enumerate(powers, 1))
+        / (n - t2)**s[1], [1, mpmath.inf], method="richardson")
+
+
+# a float root of unity whose modulus rounds to 1 - 2^-53
+_FLOAT_CUBE_ROOT = complex(-0.4999999999999998, 0.8660254037844387)
+_NEAR_ONE = (F(9, 10), F(99, 100), 0.999)
+_SHIFTS = (F(-3, 2), F(-1, 3), F(0), F(1, 5), F(1, 2), F(3, 4)) + _NEAR_ONE
+_CONFIGS = (EvalConfig(tolerance=1e-6, n_start=16, n_max=2**12),
+            EvalConfig(tolerance=1e-6, n_start=2**10, n_max=2**14),
+            EvalConfig(tolerance=1e-10, n_start=64, n_max=2**12),
+            EvalConfig(n_start=128, n_max=128),
+            EvalConfig(n_start=2**10, n_max=2**10))
+
+
+def _geometric_color(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return F(rng.choice((-1, 1)) * rng.randint(1, 8), 10)
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.uniform(0.1, 0.9)
+    return complex(*(rng.uniform(-0.6, 0.6) for _ in range(2)))
+
+
+def _misses(cases):
+    """Every (params, config) whose estimate does not cover the error
+    against the reference, over (params, reference) cases and _CONFIGS."""
+    misses = []
+    for p, ref in cases:
+        for cfg in _CONFIGS:
+            res = eval_di(p, cfg)
+            if not abs(res.value - complex(ref)) <= res.error_estimate:
+                misses.append((p.pretty(), cfg, abs(res.value - complex(ref)),
+                               res.error_estimate))
+    return misses
+
+
+def test_error_estimates_cover_random_diagonal_sums():
+    # depth 1-3, geometric (exact, float and complex) and unit (exact and
+    # float) colors, shifts near 1
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261)
+    cases = []
+    with mpmath.workdps(30):
+        for _ in range(24):
+            depth, t = rng.randint(1, 3), rng.choice(_SHIFTS)
+            if rng.random() < 0.5:
+                s, xi = rng.randint(1, 4), _geometric_color(rng)
+            else:
+                s, xi = rng.randint(2, 5), rng.choice((1, -1, 1.0, -1.0, 1j,
+                                                       _FLOAT_CUBE_ROOT))
+            p = P((s,) * depth, (xi,) * depth, (t,) * depth)
+            cases.append((p, _diagonal_ref(depth, s, xi, t)))
+    assert _misses(cases) == []
+
+
+def test_error_estimates_cover_random_geometric_sums():
+    # cumulative moduli below 0.85, level ratios up to 2: summed in mpmath
+    # far past the point where q^n drops under the working precision
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20262)
+    cases = []
+    with mpmath.workdps(30):
+        for _ in range(12):
+            depth = rng.randint(2, 3)
+            s = tuple(rng.randint(1, 4) for _ in range(depth))
+            cums = [rng.choice((-1, 1)) * F(rng.randint(2, 17), 20)
+                    for _ in range(depth)]
+            xi = [cums[0]] + [cums[i] / cums[i - 1] for i in range(1, depth)]
+            if rng.random() < 0.5:
+                xi = [complex(v) for v in xi]
+            t = tuple(rng.choice(_SHIFTS) for _ in range(depth))
+            cases.append((P(s, xi, t), _direct_ref(s, xi, t, 700)))
+    assert _misses(cases) == []
+
+
+def test_error_estimates_cover_random_unit_and_mixed_sums():
+    # non-diagonal sums in the polynomial regime: every color 1 (depth 2-3)
+    # or cumulative colors (c1, 1) with |c1| < 1 (depth 2)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20263)
+    cases = []
+    with mpmath.workdps(30):
+        for _ in range(8):
+            depth = rng.randint(2, 3)
+            s = (rng.randint(2, 4),) + tuple(rng.randint(2, 3)
+                                             for _ in range(depth - 1))
+            t = tuple(rng.choice(_SHIFTS) for _ in range(depth))
+            one = rng.choice((1, 1.0))
+            cases.append((P(s, (one,) * depth, t), _unit_ref(s, t)))
+        for _ in range(6):
+            s = (rng.randint(2, 4), rng.randint(1, 3))
+            t = tuple(rng.choice(_SHIFTS) for _ in range(2))
+            c1 = rng.choice((-1, 1)) * F(rng.randint(1, 3), 5)
+            cases.append((P(s, (c1, 1 / c1), t), _mixed_ref(s, c1, t)))
+    assert _misses(cases) == []
+
+
+def test_float_roots_of_unity_stop_on_the_polynomial_bound():
+    # modulus just below 1: the geometric bound is useless, the polynomial
+    # one converges as at an exact unit color
+    mpmath = pytest.importorskip("mpmath")
+    assert abs(_FLOAT_CUBE_ROOT) < 1
+    p = P((3,), (_FLOAT_CUBE_ROOT,), (0,))
+    res = eval_di(p, EvalConfig(tolerance=1e-6, n_max=2**14))
+    with mpmath.workdps(30):
+        ref = _diagonal_ref(1, 3, _FLOAT_CUBE_ROOT, F(0))
+    assert res.converged and res.n_used == 2**10
+    assert abs(res.value - ref) <= res.error_estimate
+
+
+@pytest.mark.parametrize("depth, estimate_at_least", ((2, 8.0e-8),
+                                                     (3, 3.7e-8)))
+def test_error_estimate_covers_large_inner_sums(depth, estimate_at_least):
+    # the inner levels start at (1 - 3/4)^-4 = 256; a depth-1 bound widened
+    # by (1 + ln N)^(r - 1) reported 2.7e-9 and 2.0e-8 here
+    mpmath = pytest.importorskip("mpmath")
+    cfg = EvalConfig(tolerance=1e-6, n_start=2**10, n_max=2**14)
+    res = eval_di(P((4,) * depth, (1,) * depth, (F(3, 4),) * depth), cfg)
+    with mpmath.workdps(30):
+        ref = complex(_diagonal_ref(depth, 4, 1, F(3, 4)))
+    assert abs(res.value - ref) <= res.error_estimate
+    assert res.error_estimate >= estimate_at_least and res.converged
+
+
+def test_repinned_goldens_cover_their_mpmath_error():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        geometric = P((2, 1), (F(-2, 3), F(1, 2)), (F(1, 5), F(-1, 3)))
+        res = eval_di(geometric)
+        ref = _direct_ref(geometric.s, geometric.xi, geometric.t, 400)
+        assert abs(res.value - complex(ref)) <= res.error_estimate
+        mixed = P((2, 2), (F(1, 2), 2), (0, F(1, 3)))
+        res = eval_di(mixed, EvalConfig(n_max=2**14))
+        ref = _mixed_ref(mixed.s, F(1, 2), mixed.t)
+        assert abs(res.value - complex(ref)) <= res.error_estimate
+        # the README eval example, Li_2(1/2)
+        res = eval_di(P((2,), (0.5,), (0,)))
+        ref = mpmath.pi**2 / 12 - mpmath.log(2)**2 / 2
+        assert abs(res.value - complex(ref)) <= res.error_estimate
+        assert res.n_used < 2**10 and res.converged
+
+
+def test_geometric_sums_stop_where_no_column_changes_the_float():
+    # the value is the one the default first cutoff gives, bit for bit
+    p = P((2, 1), (F(-2, 3), F(1, 2)), (F(1, 5), F(-1, 3)))
+    res = eval_di(p)
+    fixed = eval_di(p, EvalConfig(n_start=2**10, n_max=2**10))
+    assert res.value == fixed.value and res.n_used == 2**7
+    assert [row.cutoff for row in res.trace] == [8, 16, 32, 64, 128]
+
+
+def test_geometric_sums_below_float_noise_stop_unconverged():
+    # no estimate can fall below the rounding term, so once the sum has
+    # settled the evaluator stops instead of running to n_max
+    p = P((3,), (0.5,), (0.0,))
+    res = eval_di(p, EvalConfig(tolerance=1e-30))
+    assert not res.converged and res.n_used <= 2**10
+    assert res.value == eval_di(p).value

@@ -24,11 +24,11 @@ README_EXPECTED = [
         " + Z(s=(3,1,2); xi=(2/3,-1,1/2); t=(0,0,0))"
         " + Z(s=(3,2,1); xi=(2/3,1/2,-1); t=(0,0,0))\n"),
     (0, '{"value": {"re": 0.5822405264650125, "im": 0.0}, '
-        '"error": 2.126146393e-314, "n_used": 1024, "converged": true}\n'),
+        '"error": 4.301734440270864e-13, "n_used": 64, "converged": true}\n'),
     (0, '{"lhs": {"re": -0.35328547552361195, "im": 0.0}, '
         '"rhs": {"re": -0.353285475523612, "im": 0.0}, '
         '"residual": 5.551115123125783e-17, "tolerance": 1e-08, "ok": true, '
-        '"n_used": 1024, "converged": true}\n'),
+        '"n_used": 128, "converged": true}\n'),
 ]
 
 

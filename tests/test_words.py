@@ -131,6 +131,12 @@ def test_pretty_forms():
     assert p.pretty() == "-y₂ + 2y₁²"
 
 
+@pytest.mark.parametrize("coeff, text", (
+    (1 + 2j, "(1+2j)y₁"), (2j, "(2j)y₁"), (-2j, "(-0-2j)y₁")))
+def test_pretty_brackets_a_complex_coefficient_once(coeff, text):
+    assert Polynomial.monomial(word(y(1)), coeff).pretty() == text
+
+
 def test_scaling_drops_coefficients_that_underflow():
     p = Polynomial.monomial(word(y(1)), 1e-200)
     assert 1e-200 * p == Polynomial.zero()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import comb
@@ -27,6 +29,31 @@ def test_params_validation():
         P((2,), (0,), (0,))
     unit = PolyzetaParams()
     assert unit.depth == 0 and unit.is_convergent()
+
+
+def test_params_hash_and_equality_follow_the_fields():
+    a = P((2, 1), (F(1, 2), root_of_unity(1, 3)), (F(1, 3), 0))
+    b = P((2, 1), (F(1, 2), root_of_unity(1, 3)), (F(1, 3), 0))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.s, a.xi, a.t))
+    # equal by value across types, as the fields themselves are
+    assert P((2,), (F(1, 2),), (0,)) == P((2,), (0.5,), (0,))
+    assert hash(P((2,), (F(1, 2),), (0,))) == hash(P((2,), (0.5,), (0,)))
+    assert a != P((2, 1), (F(1, 2), root_of_unity(1, 3)), (F(1, 4), 0))
+    assert len({a, b, P((3,), (1,), (0,))}) == 2
+    assert repr(a) == ("PolyzetaParams(s=(2, 1), xi=(Fraction(1, 2), "
+                       f"{root_of_unity(1, 3)!r}), "
+                       "t=(Fraction(1, 3), Fraction(0, 1)))")
+    with pytest.raises(AttributeError):
+        a.s = (3, 1)
+
+
+def test_params_pickle_round_trip():
+    a = P((2, 1, 3), (F(1, 2), -1.5, root_of_unity(1, 4)), (F(1, 3), -0.25, 0))
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert LinComb.monomial(b, 2) == LinComb.monomial(a, 2)
+    assert pickle.loads(pickle.dumps(PolyzetaParams())) == PolyzetaParams()
 
 
 @pytest.mark.parametrize("xi, t", (
