@@ -2,9 +2,10 @@
 
 Subcommands: expand, antipode, hopf-check, encode, decode, zeta-expand,
 eval, verify. Word and parameter arguments take inline JSON or @file
-references. Exit codes: 0 success, 1 failed check or exceeded residual,
-2 usage or parse errors, 3 domain errors (divergence, bad shapes,
-diagonal violations, float overflow).
+references; only the output format asked for is built, and JSON output is
+strict (null where no tail bound holds). Exit codes: 0 success, 1 failed
+check or exceeded residual, 2 usage or parse errors, 3 domain errors
+(divergence, bad shapes, diagonal violations, float overflow).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import PolyzetaError
 from .hopf import check_antipode, check_bialgebra, antipode as hopf_antipode
@@ -46,13 +47,6 @@ def _load_json(arg: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
-
-
-def _emit(payload, pretty_text: Optional[str], fmt: str) -> None:
-    if fmt == "pretty" and pretty_text is not None:
-        print(pretty_text)
-    else:
-        print(json.dumps(payload, ensure_ascii=False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,30 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(nmax: Optional[int], eval_tol: Optional[float]) -> EvalConfig:
-    kwargs = {}
-    if eval_tol is not None:
-        kwargs["tolerance"] = eval_tol
-    if nmax is not None:
-        kwargs["n_max"] = nmax
-        kwargs["n_start"] = min(2**10, nmax)
+    kwargs = {} if eval_tol is None else {"tolerance": eval_tol}
+    if nmax is not None:  # n_start keeps its default where it can
+        kwargs.update(n_max=nmax, n_start=min(EvalConfig().n_start, nmax))
     return EvalConfig(**kwargs)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[int, Callable, Callable]:
+    """Run one command: its exit code and two zero-argument builders, of
+    the JSON payload and of the pretty text; main calls only one."""
     if args.command == "expand":
-        br = PRODUCTS[args.product]
         left = word_from_json(_load_json(args.left))
         right = word_from_json(_load_json(args.right))
-        result = star(br, left, right)
-        _emit(polynomial_to_json(result), result.pretty(), args.format)
-        return EXIT_OK
+        result = star(PRODUCTS[args.product], left, right)
+        return EXIT_OK, lambda: polynomial_to_json(result), result.pretty
 
     if args.command == "antipode":
-        br = PRODUCTS[args.product]
         w = word_from_json(_load_json(args.word))
-        result = hopf_antipode(br, w)
-        _emit(polynomial_to_json(result), result.pretty(), args.format)
-        return EXIT_OK
+        result = hopf_antipode(PRODUCTS[args.product], w)
+        return EXIT_OK, lambda: polynomial_to_json(result), result.pretty
 
     if args.command == "hopf-check":
         br = PRODUCTS[args.product]
@@ -145,41 +134,33 @@ def _run(args: argparse.Namespace) -> int:
             alphabet = tuple(letter_from_json(item) for item in data)
         reports = [check_bialgebra(br, args.max_len, alphabet),
                    check_antipode(br, args.max_len, alphabet)]
-        payload = [report_to_json(rep) for rep in reports]
-        pretty = "\n".join(
-            f"{rep.axiom}: {rep.status} ({rep.checked} cases)"
-            for rep in reports)
-        _emit(payload, pretty, args.format)
-        return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
+        code = EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
+        return code, lambda: [report_to_json(rep) for rep in reports], (
+            lambda: "\n".join(f"{r.axiom}: {r.status} ({r.checked} cases)"
+                              for r in reports))
 
     if args.command == "encode":
-        p = params_from_json(_load_json(args.params))
-        w = encode(p)
-        _emit(word_to_json(w), w.pretty(), args.format)
-        return EXIT_OK
+        w = encode(params_from_json(_load_json(args.params)))
+        return EXIT_OK, lambda: word_to_json(w), w.pretty
 
     if args.command == "decode":
-        w = word_from_json(_load_json(args.word))
-        p = decode(w)
-        _emit(params_to_json(p), p.pretty(), args.format)
-        return EXIT_OK
+        p = decode(word_from_json(_load_json(args.word)))
+        return EXIT_OK, lambda: params_to_json(p), p.pretty
 
     if args.command == "zeta-expand":
         left = params_from_json(_load_json(args.left))
         right = params_from_json(_load_json(args.right))
         lc = _EXPANSIONS[args.mode](left, right)
-        _emit(lincomb_to_json(lc), lc.pretty(), args.format)
-        return EXIT_OK
+        return EXIT_OK, lambda: lincomb_to_json(lc), lc.pretty
 
     if args.command == "eval":
         p = params_from_json(_load_json(args.params))
-        cfg = _make_config(args.nmax, args.tol)
-        res = eval_di(p, cfg)
-        pretty = (f"value = {res.value.real:+.12g}{res.value.imag:+.12g}i  "
-                  f"error ~ {res.error_estimate:.3g}  n = {res.n_used}  "
-                  f"converged = {res.converged}")
-        _emit(eval_result_to_json(res), pretty, args.format)
-        return EXIT_OK if res.converged else EXIT_CHECK_FAILED
+        res = eval_di(p, _make_config(args.nmax, args.tol))
+        return (EXIT_OK if res.converged else EXIT_CHECK_FAILED,
+                lambda: eval_result_to_json(res), lambda: (
+                    f"value = {res.value.real:+.12g}{res.value.imag:+.12g}i  "
+                    f"error ~ {res.error_estimate:.3g}  n = {res.n_used}  "
+                    f"converged = {res.converged}"))
 
     if args.command == "verify":
         left = params_from_json(_load_json(args.left))
@@ -192,11 +173,11 @@ def _run(args: argparse.Namespace) -> int:
                               residual_tolerance=args.tol)
         verdict = ("ok" if rep.ok else "FAILED" if rep.converged
                    else "FAILED (unconverged)")
-        pretty = (f"lhs = {rep.lhs_value:.12g}  rhs = {rep.rhs_value:.12g}  "
-                  f"residual = {rep.residual:.3g} (tolerance {rep.tolerance:.3g})"
-                  f"  -> {verdict}")
-        _emit(verify_report_to_json(rep), pretty, args.format)
-        return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+        return (EXIT_OK if rep.ok else EXIT_CHECK_FAILED,
+                lambda: verify_report_to_json(rep), lambda: (
+                    f"lhs = {rep.lhs_value:.12g}  rhs = {rep.rhs_value:.12g}  "
+                    f"residual = {rep.residual:.3g} "
+                    f"(tolerance {rep.tolerance:.3g})  -> {verdict}"))
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -208,7 +189,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return _run(args)
+        code, to_json, to_pretty = _run(args)
+        # every float the serializers pass on is finite: strict JSON
+        text = (to_pretty() if args.format == "pretty" else
+                json.dumps(to_json(), ensure_ascii=False, allow_nan=False))
     except ValueError as exc:  # ParseError, or an argument the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -217,6 +201,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             exc = f"float range exceeded: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -167,7 +167,9 @@ def check_bialgebra(br: Bracket, maxlen: int,
     """Verify, on all word pairs with |w1| + |w2| <= maxlen over the sample
     alphabet, that the product is commutative (where a symmetry violation
     of the bracket surfaces) and that it is compatible with the coproduct:
-    coproduct(w1 * w2) = coproduct(w1) * coproduct(w2)."""
+    coproduct(w1 * w2) = coproduct(w1) * coproduct(w2). Associativity is
+    not tested here: a non-associative bracket shows up in
+    ``check_antipode``."""
     if maxlen < 0:
         raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     if alphabet is None:

@@ -279,7 +279,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     largest of its gap to the order-J fit and its last two changes from fit
     to fit, plus 100 times the rounding term. The first check to pass gives the result; at
     ``cfg.n_max`` the smaller estimate does, flagged unconverged. Divergent
-    input raises.
+    input raises, and so does a first column past float range (some
+    (1 - t_i)^s_i is 0 in floats) with ``OverflowError``.
     """
     if not p.satisfies_condition_e():
         raise DivergenceError(
@@ -289,6 +290,9 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         raise DivergenceError(f"{p.pretty()} is divergent")
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
+    # column 1 divides by (1 - t_i)^s_i, the least (k - t_i)^s_i of level i
+    if any((1 - float(ti)) ** si == 0 for si, ti in zip(p.s, p.t)):
+        raise OverflowError("first column: (1 - t_i)^s_i underflows to 0")
 
     cum = p.cumulative_colors()
     checkpoints = [cfg.n_start]

@@ -4,16 +4,19 @@ Conventions: exact rationals travel as "p/q" strings, complex numbers as
 {"re": ..., "im": ...}, exact polar colors as {"q": k, "n": N} for the
 root of unity exp(2*pi*i*k/N), optionally with a rational "mag". Words are
 lists of letter objects tagged by variant; polynomials and formal
-combinations are lists of {"coeff", "word"/"params"} pairs.
+combinations are lists of {"coeff", "word"/"params"} pairs. Output is
+strict JSON: an infinite error bound is null, and any other non-finite
+float fails ``scalars.in_range``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .hopf import CheckReport
 from .numeric import EvalResult, VerifyReport
-from .scalars import ExactColor, exact_color
+from .scalars import ExactColor, exact_color, in_range
 from .words import (Combination, Indexed, Letter, MonoidLetter, PairLetter,
                     Polynomial, Word, X0, XForm)
 from .zeta import LinComb, PolyzetaParams
@@ -27,10 +30,11 @@ def scalar_to_json(value):
     if isinstance(value, bool):
         raise ParseError("booleans are not scalars")
     if isinstance(value, (int, float)):
-        return value
+        return in_range(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, complex):
+        value = in_range(value)
         return {"re": value.real, "im": value.imag}
     if isinstance(value, ExactColor):
         out = {"q": value.turns.numerator, "n": value.turns.denominator}
@@ -168,9 +172,14 @@ def report_to_json(report: CheckReport) -> dict:
     return out
 
 
+def _bound_to_json(bound: float):
+    """An error bound or tolerance; null where infinite (no tail bound)."""
+    return None if bound == math.inf else in_range(bound)
+
+
 def eval_result_to_json(res: EvalResult) -> dict:
     return {"value": scalar_to_json(res.value),
-            "error": res.error_estimate,
+            "error": _bound_to_json(res.error_estimate),
             "n_used": res.n_used,
             "converged": res.converged}
 
@@ -178,8 +187,8 @@ def eval_result_to_json(res: EvalResult) -> dict:
 def verify_report_to_json(rep: VerifyReport) -> dict:
     return {"lhs": scalar_to_json(rep.lhs_value),
             "rhs": scalar_to_json(rep.rhs_value),
-            "residual": rep.residual,
-            "tolerance": rep.tolerance,
+            "residual": in_range(rep.residual),
+            "tolerance": _bound_to_json(rep.tolerance),
             "ok": rep.ok,
             "n_used": rep.n_used,
             "converged": rep.converged}

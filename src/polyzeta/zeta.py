@@ -98,9 +98,6 @@ class PolyzetaParams:
         t = ",".join(str(v) for v in self.t)
         return f"Z(s=({s}); xi=({xi}); t=({t}))"
 
-    def __repr__(self) -> str:
-        return f"PolyzetaParams(s={self.s!r}, xi={self.xi!r}, t={self.t!r})"
-
 
 class LinComb(Combination):
     """Formal finite combination of hashable terms, in canonical form."""

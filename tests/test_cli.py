@@ -1,12 +1,14 @@
 import json
+import re
 
 import pytest
 
+from polyzeta import cli
 from polyzeta.cli import main
 from polyzeta.serialize import (lincomb_from_json, params_to_json,
                                 polynomial_from_json, word_to_json)
-from polyzeta.words import word, x, y
-from polyzeta.zeta import PolyzetaParams
+from polyzeta.words import Polynomial, Word, word, x, y
+from polyzeta.zeta import LinComb, PolyzetaParams
 
 
 def run(capsys, *argv):
@@ -212,12 +214,17 @@ def test_exit_code_3_on_domain_errors(capsys):
             ("eval", "--params", '{"s": [400], "xi": [1], "t": [0]}'),
             ("verify", "--mode", "duffle",
              "--left", '{"s": [400], "xi": [1], "t": [0]}', "--right", ZETA2),
-            ("eval", "--params", '{"s": [2], "xi": [-1.0], "t": [-1e300]}')):
+            ("eval", "--params", '{"s": [2], "xi": [-1.0], "t": [-1e300]}'),
+            # (1 - t)^30 underflows to 0: the first column is past float range
+            ("eval", "--params", UNDERFLOW),
+            ("verify", "--mode", "duffle", "--left", UNDERFLOW,
+             "--right", '{"s": [2], "xi": [1], "t": [0.999999999999999]}')):
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == ""
+        assert code == 3 and out == "" and "Traceback" not in err
         assert err.startswith("error: float range exceeded")
 
 
+UNDERFLOW = '{"s": [30], "xi": [1], "t": [0.999999999999999]}'
 MONOID_MAX = '[{"kind": "monoid", "value": 1e308}]'
 PAIR_MAX = '[{"kind": "pair", "index": 1, "value": 1e308}]'
 FORM_MAX = '{"kind": "xform", "color": 1, "tbar": 1e308}'
@@ -344,3 +351,76 @@ def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+DEPTH_12 = json.dumps({"s": [2] + [1] * 11, "xi": [1] * 12, "t": [0] * 12})
+
+
+def test_unbounded_error_is_written_null(capsys):
+    # no tail bound holds at depth 12 by n = 256
+    code, out, _ = run(capsys, "eval", "--params", DEPTH_12, "--nmax", "256")
+    payload = strict_json(out)
+    assert code == 1 and payload["error"] is None
+    assert payload["converged"] is False
+    code, out, _ = run(capsys, "verify", "--mode", "duffle",
+                       "--left", DEPTH_12,
+                       "--right", '{"s": [2], "xi": ["1/2"], "t": [0]}',
+                       "--nmax", "256")
+    payload = strict_json(out)
+    assert code == 1 and payload["tolerance"] is None
+    assert payload["ok"] is False and payload["converged"] is False
+
+
+HALF = '{"s": [2], "xi": ["1/2"], "t": [0]}'
+COMMANDS = {
+    "expand": ("--product", "stuffle", "--left", yw(3, 1), "--right", yw(2)),
+    "antipode": ("--product", "stuffle", "--word", yw(1, 1)),
+    "hopf-check": ("--product", "stuffle", "--max-len", "2"),
+    "encode": ("--params", HALF),
+    "decode": ("--word", json.dumps(
+        [{"kind": "x0"}, {"kind": "xform", "color": "1/2", "tbar": 0}])),
+    "zeta-expand": ("--mode", "shuffle", "--left", HALF, "--right", HALF),
+    "eval": ("--params", HALF),
+    "verify": ("--mode", "shuffle", "--left", HALF, "--right", HALF),
+}
+JSON_WRITERS = ("polynomial_to_json", "report_to_json", "word_to_json",
+                "params_to_json", "lincomb_to_json", "eval_result_to_json",
+                "verify_report_to_json")
+
+
+def test_every_command_is_checked_for_its_output_format():
+    usage = cli.build_parser().format_usage()
+    assert set(COMMANDS) == set(re.search(r"{(.*?)}", usage)[1].split(","))
+
+
+@pytest.mark.parametrize("fmt", ("json", "pretty"))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_only_the_requested_format_is_built(capsys, monkeypatch, command,
+                                            fmt):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"--format {fmt} built the other format")
+
+    if fmt == "json":
+        for cls in (Word, Polynomial, PolyzetaParams, LinComb):
+            monkeypatch.setattr(cls, "pretty", refuse)
+    else:
+        for name in JSON_WRITERS:
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+    built, run_command = [], cli._run
+
+    def traced_run(args):
+        code, to_json, to_pretty = run_command(args)
+        return (code, lambda: built.append("json") or to_json(),
+                lambda: built.append("pretty") or to_pretty())
+
+    monkeypatch.setattr(cli, "_run", traced_run)
+    code, out, err = run(capsys, command, *COMMANDS[command], "--format", fmt)
+    assert (code, err, built) == (0, "", [fmt]) and out.strip()

@@ -11,8 +11,8 @@ from polyzeta.hopf import (CheckReport, TensorPolynomial, antipode,
                            default_alphabet)
 from polyzeta.products import (DUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
                                STUFFLE, Bracket, star)
-from polyzeta.words import (EMPTY_WORD, MonoidLetter, PairLetter, Polynomial,
-                            Word, word, x, y)
+from polyzeta.words import (EMPTY_WORD, Indexed, MonoidLetter, PairLetter,
+                            Polynomial, Word, word, x, y)
 
 Y12 = word(y(1), y(2))
 
@@ -180,6 +180,18 @@ def test_non_symmetric_bracket_is_caught():
     assert not rep.ok
     assert rep.status == "counterexample"
     assert set(rep.counterexample) == {"left", "right"}
+
+
+def test_non_associative_bracket_is_caught_by_the_antipode_check():
+    # commutative, but [[a,b],c] = 4a + 4b + 2c and [a,[b,c]] = 2a + 4b + 4c;
+    # check_bialgebra does not test associativity, check_antipode fails
+    twice = Bracket("twice", lambda a, b: (
+        1, Indexed(2 * a.index + 2 * b.index, a.family)), kinds=("indexed",))
+    alphabet = (y(1), y(2))
+    assert check_bialgebra(twice, 4, alphabet) == CheckReport(
+        "bialgebra", True, 129)
+    assert check_antipode(twice, 4, alphabet) == CheckReport(
+        "antipode-left", False, 9, {"word": word(y(1), y(1), y(2))})
 
 
 def test_tensor_star_componentwise():

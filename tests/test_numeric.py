@@ -108,6 +108,15 @@ def test_eval_rejects_divergent_input():
         eval_di(P((2,), (1,), (2,)))  # shift past 1
 
 
+@pytest.mark.parametrize("p", (P((30,), (1,), (0.999999999999999,)),
+                               P((2, 30), (1, 1), (0, 0.999999999999999))))
+def test_eval_refuses_a_first_column_past_float_range(p):
+    # (1 - t)^30 is 0.0 in floats, so the first column would divide by zero
+    assert p.satisfies_condition_e() and p.is_convergent()
+    with pytest.raises(OverflowError, match="first column"):
+        eval_di(p)
+
+
 def test_eval_depth_zero():
     res = eval_di(PolyzetaParams())
     assert res.value == 1 and res.converged and res.error_estimate == 0

@@ -1,10 +1,12 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from polyzeta.hopf import check_bialgebra
-from polyzeta.numeric import EvalConfig, eval_di, verify_relation
+from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
+                              eval_di, verify_relation)
 from polyzeta.products import SHUFFLE, Bracket
 from polyzeta.scalars import ExactColor, exact_color, root_of_unity
 from polyzeta.serialize import (ParseError, eval_result_to_json,
@@ -114,6 +116,28 @@ def test_report_and_result_payloads_are_json():
         (PolyzetaParams(), PolyzetaParams()),
         LinComb.monomial(PolyzetaParams()), EvalConfig())
     json.dumps(verify_report_to_json(vrep))
+
+
+def test_payloads_hold_only_finite_floats():
+    # an infinite bound means no tail bound holds: null
+    res = EvalResult(0.5 + 0j, math.inf, 256, False)
+    assert eval_result_to_json(res)["error"] is None
+    rep = VerifyReport(0.5 + 0j, 0.5 + 0j, 0.0, math.inf, False, 256, False)
+    assert verify_report_to_json(rep)["tolerance"] is None
+    assert verify_report_to_json(rep)["residual"] == 0.0
+    # any other non-finite float is past float range
+    nan = math.nan
+    cases = ((eval_result_to_json, EvalResult(complex(nan, 0), 1e-3, 8, False)),
+             (eval_result_to_json, EvalResult(0.5 + 0j, nan, 8, False)),
+             (verify_report_to_json,
+              VerifyReport(0j, 0j, nan, 1e-8, False, 8, True)),
+             (verify_report_to_json,
+              VerifyReport(0j, 0j, 0.0, nan, False, 8, True)),
+             (scalar_to_json, math.inf),
+             (scalar_to_json, complex(0, -math.inf)))
+    for writer, value in cases:
+        with pytest.raises(OverflowError):
+            writer(value)
 
 
 @pytest.mark.parametrize("s", ([2.5], [2.0], [True], ["2"]))

@@ -157,6 +157,27 @@ def test_roundtrip_with_exact_polar_colors():
         assert decode(encode(p)) == p
 
 
+def test_exact_colors_mixed_with_floats_go_float():
+    # the float and complex branches of ExactColor's *, / and reflected /
+    w = root_of_unity(1, 3)
+    p = P((2, 1), (w, 0.5), (0, 0))
+    assert p.cumulative_colors() == (w, complex(w) * 0.5)
+    assert abs(p.cumulative_colors()[1] - complex(-0.25, 3**0.5 / 4)) < 1e-15
+    back = decode(encode(p))  # the second ratio is complex / ExactColor
+    assert (back.s, back.t, back.xi[0]) == (p.s, p.t, w)
+    assert type(back.xi[1]) is complex and abs(back.xi[1] - 0.5) < 1e-15
+    # ExactColor / float
+    assert decode(word(XForm(0.5, 0), XForm(w, 0))).xi == (0.5,
+                                                           complex(w) / 0.5)
+
+
+def test_params_repr_is_the_dataclass_repr():
+    # the cached hash stays out of it
+    assert repr(P((2, 1), (1, 0.5), (0, -0.25))) == (
+        "PolyzetaParams(s=(2, 1), xi=(1, 0.5), t=(Fraction(0, 1), -0.25))")
+    assert repr(PolyzetaParams()) == "PolyzetaParams(s=(), xi=(), t=())"
+
+
 @pytest.mark.parametrize("colors, expected", (((-1, 1), (-1, -1)),
                                               ((2, 6), (2, 3)),
                                               ((2, 3), (2, F(3, 2)))))
