@@ -280,7 +280,8 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     to fit, plus 100 times the rounding term. The first check to pass gives the result; at
     ``cfg.n_max`` the smaller estimate does, flagged unconverged. Divergent
     input raises, and so does a first column past float range (some
-    (1 - t_i)^s_i is 0 in floats) with ``OverflowError``.
+    (1 - t_i)^s_i is 0 in floats, or 1/(1 - t_r)^s_r at the last level is
+    not finite) with ``OverflowError``.
     """
     if not p.satisfies_condition_e():
         raise DivergenceError(
@@ -290,8 +291,11 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         raise DivergenceError(f"{p.pretty()} is divergent")
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
-    # column 1 divides by (1 - t_i)^s_i, the least (k - t_i)^s_i of level i
-    if any((1 - float(ti)) ** si == 0 for si, ti in zip(p.s, p.t)):
+    # column 1 divides by (1 - t_i)^s_i at every level, and its term is
+    # c_r / (1 - t_r)^s_r: a power that underflows to a subnormal is not 0,
+    # but its reciprocal is not a finite float
+    firsts = [(1 - float(ti)) ** si for si, ti in zip(p.s, p.t)]
+    if 0 in firsts or not math.isfinite(1 / firsts[-1]):
         raise OverflowError("first column: (1 - t_i)^s_i underflows to 0")
 
     cum = p.cumulative_colors()

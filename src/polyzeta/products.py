@@ -75,9 +75,6 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
     reaches and that it lacks, last suffixes (children) first."""
-    if u and v and u.kind != v.kind:
-        raise AlphabetMismatchError(
-            f"cannot multiply a {u.kind!r} word by a {v.kind!r} word")
     us = [u[i:] for i in range(len(u) + 1)]
     vs = [v[j:] for j in range(len(v) + 1)]
 

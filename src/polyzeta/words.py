@@ -187,16 +187,13 @@ class Word:
     two-sided unit (compatible with every kind). Slicing returns words.
     Words are hash-consed: equality is identity, by letter value and value
     type (and the sign of a float zero), so a memo keyed on words never
-    hands one query's scalar types to another.
+    hands one query's scalar types to another. A word of two kinds is
+    refused where every word is first made, in ``_word``.
     """
 
     __slots__ = ("_ids",)
 
     def __new__(cls, letters: Iterable[Letter] = ()):
-        letters = tuple(letters)
-        kinds = {letter.kind for letter in letters}
-        if len(kinds) > 1:
-            raise AlphabetMismatchError(f"word mixes kinds {sorted(kinds)}")
         return _word(tuple(letter._id for letter in letters))
 
     def __reduce__(self):
@@ -235,9 +232,6 @@ class Word:
         return "Word(%s)" % (list(self.letters),)
 
     def prepended(self, letter: Letter) -> "Word":
-        if self._ids and letter.kind != self.kind:
-            raise AlphabetMismatchError(
-                f"cannot prepend {letter.kind!r} letter to {self.kind!r} word")
         return _word((letter._id,) + self._ids)
 
     def sort_key(self) -> tuple:
@@ -251,9 +245,13 @@ class Word:
 
 
 def _word(ids: tuple) -> Word:
-    """The canonical word for a tuple of letter ids."""
+    """The canonical word for a tuple of letter ids. Every word is first
+    made here, so only here are its letters checked to share one kind."""
     w = _WORDS.get(ids)
     if w is None:
+        kinds = {_LETTERS[i].kind for i in ids}
+        if len(kinds) > 1:
+            raise AlphabetMismatchError(f"word mixes kinds {sorted(kinds)}")
         w = object.__new__(Word)
         w._ids = ids
         w = _WORDS.setdefault(ids, w)
@@ -269,9 +267,6 @@ def word(*letters: Letter) -> Word:
 
 def concat(u: Word, v: Word) -> Word:
     """Concatenation, the free-monoid product. Lengths add."""
-    if u._ids and v._ids and u.kind != v.kind:
-        raise AlphabetMismatchError(
-            f"cannot concatenate {u.kind!r} word with {v.kind!r} word")
     return _word(u._ids + v._ids)
 
 
@@ -387,12 +382,6 @@ class Polynomial(Combination):
     @classmethod
     def one(cls) -> "Polynomial":
         return cls._raw({EMPTY_WORD: 1})
-
-    def prepended(self, letter: Letter, factor=1) -> "Polynomial":
-        """Left-multiply every word by a letter, optionally scaling."""
-        if factor == 0:
-            return Polynomial._raw({})
-        return Polynomial((w.prepended(letter), factor * c) for w, c in self)
 
     def pretty(self) -> str:
         if not self.terms:

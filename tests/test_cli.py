@@ -80,6 +80,11 @@ def test_hopf_check_success_and_failure(capsys):
                        "--max-len", "2", "--alphabet", alphabet)
     assert code == 0
 
+    code, out, err = run(capsys, "hopf-check", "--product", "stuffle",
+                         "--alphabet", "{}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "alphabet must be a list" in err
+
 
 def test_encode_decode_round_trip(capsys):
     params = {"s": [2, 3], "xi": ["1/2", "1/3"], "t": ["1/5", 0]}
@@ -206,8 +211,10 @@ def test_exit_code_3_on_domain_errors(capsys):
     code, _, err = run(capsys, "verify", "--mode", "duffle",
                        "--left", json.dumps(left), "--right", json.dumps(right))
     assert code == 3
-    # bad word shape
+    # bad word shape, and a word that is not encoded
     code, _, err = run(capsys, "decode", "--word", json.dumps([{"kind": "x0"}]))
+    assert code == 3
+    code, _, err = run(capsys, "decode", "--word", yw(1))
     assert code == 3
     # float overflow in the evaluator's kernel
     for argv in (
@@ -218,13 +225,17 @@ def test_exit_code_3_on_domain_errors(capsys):
             # (1 - t)^30 underflows to 0: the first column is past float range
             ("eval", "--params", UNDERFLOW),
             ("verify", "--mode", "duffle", "--left", UNDERFLOW,
-             "--right", '{"s": [2], "xi": [1], "t": [0.999999999999999]}')):
+             "--right", '{"s": [2], "xi": [1], "t": [0.999999999999999]}'),
+            # (1 - t)^20 is subnormal: its reciprocal is past float range
+            ("eval", "--params", SUBNORMAL),
+            ("eval", "--params", SUBNORMAL, "--format", "pretty")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "Traceback" not in err
         assert err.startswith("error: float range exceeded")
 
 
 UNDERFLOW = '{"s": [30], "xi": [1], "t": [0.999999999999999]}'
+SUBNORMAL = '{"s": [20], "xi": [1], "t": [0.9999999999999999]}'
 MONOID_MAX = '[{"kind": "monoid", "value": 1e308}]'
 PAIR_MAX = '[{"kind": "pair", "index": 1, "value": 1e308}]'
 FORM_MAX = '{"kind": "xform", "color": 1, "tbar": 1e308}'

@@ -109,12 +109,24 @@ def test_eval_rejects_divergent_input():
 
 
 @pytest.mark.parametrize("p", (P((30,), (1,), (0.999999999999999,)),
-                               P((2, 30), (1, 1), (0, 0.999999999999999))))
+                               P((2, 30), (1, 1), (0, 0.999999999999999)),
+                               P((20,), (1,), (0.9999999999999999,))))
 def test_eval_refuses_a_first_column_past_float_range(p):
-    # (1 - t)^30 is 0.0 in floats, so the first column would divide by zero
+    # (1 - t)^30 is 0.0 in floats, so the first column would divide by zero;
+    # (1 - t)^20 is subnormal, and the first column would be infinite
     assert p.satisfies_condition_e() and p.is_convergent()
     with pytest.raises(OverflowError, match="first column"):
         eval_di(p)
+
+
+def test_eval_keeps_an_outer_level_whose_first_power_is_subnormal():
+    # (1 - t1)^20 is subnormal, but n1 >= 2 keeps every term in range, and
+    # column 1 only divides 0 by it
+    t = 0.9999999999999999
+    res = eval_di(P((20, 2), (1, 1), (t, 0)))
+    direct = sum(sum(1 / m**2 for m in range(1, n)) / (n - t) ** 20
+                 for n in range(2, 100))
+    assert res.converged and abs(res.value - direct) < 1e-14
 
 
 def test_eval_depth_zero():

@@ -7,13 +7,14 @@ from math import comb
 import pytest
 
 from oracles import star_oracle
+from polyzeta import words
 from polyzeta.errors import AlphabetMismatchError
 from polyzeta.hopf import check_antipode, check_bialgebra, default_alphabet
 from polyzeta.products import (DUFFLE, MINUS_STUFFLE, PRODUCTS, SHUFFLE,
                                STUFFLE, Bracket, duffle, minus_stuffle,
                                mulstuffle, shuffle, star, stuffle)
 from polyzeta.words import (EMPTY_WORD, MonoidLetter, PairLetter, Polynomial,
-                            Word, word, x, y)
+                            Word, concat, word, x, y)
 
 
 def m(v):
@@ -336,6 +337,28 @@ def test_words_of_two_kinds_do_not_multiply():
     leaves = Bracket("leaves", lambda a, b: (1, y(1)), kinds=("monoid",))
     with pytest.raises(AlphabetMismatchError):
         star(leaves, word(m(2)), word(m(3)))
+
+
+@pytest.mark.parametrize("make, br", [
+    (lambda a, b: Word([a, b]), SHUFFLE),
+    (lambda a, b: word(a) + word(b), SHUFFLE),
+    (lambda a, b: concat(word(a), word(b)), SHUFFLE),
+    (lambda a, b: word(a).prepended(b), SHUFFLE),
+] + [(lambda a, b, br=br: star(br, word(a, a), word(b)), br)
+     for br in PRODUCTS.values()],
+    ids=["Word", "add", "concat", "prepended"]
+    + ["star-" + name for name in PRODUCTS])
+def test_every_path_that_makes_a_word_refuses_two_kinds(make, br):
+    alphabet = default_alphabet(br)
+    other = x(1) if br.kinds == ("monoid",) else m(2)  # of another kind
+    with pytest.raises(AlphabetMismatchError):
+        make(alphabet[0], other)
+    assert all(len({letter.kind for letter in w}) <= 1
+               for w in list(words._WORDS.values()))
+    # the refusal left no wrong entry in the bracket's memos
+    u, v = word(alphabet[0], alphabet[0]), Word(alphabet[::-1])
+    fresh = Bracket(br.name, br.fn, br.kinds)
+    assert star(br, u, v).terms == star(fresh, u, v).terms
 
 
 def test_terms_are_read_only():

@@ -132,6 +132,8 @@ def test_decode_shape_errors():
         decode(word(XForm(F(1, 2), 0), X0()))
     with pytest.raises(ShapeError):
         decode(word(X0()))
+    with pytest.raises(ShapeError):
+        decode(word(PairLetter(1, F(1, 2))))
 
 
 def test_roundtrip_random_params():
@@ -250,6 +252,7 @@ def test_duffle_expand_worked_example():
 def test_duffle_expand_unit_and_depth_one():
     p = P((3,), (F(1, 2),), (F(1, 9),))
     assert duffle_expand(p, PolyzetaParams()) == LinComb.monomial(p)
+    assert duffle_expand(PolyzetaParams(), p) == LinComb.monomial(p)
     a, b = F(1, 2), F(-1, 3)
     t = F(0)
     got = duffle_expand(P((2,), (a,), (t,)), P((3,), (b,), (t,)))
