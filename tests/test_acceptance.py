@@ -4,6 +4,7 @@ and enforcing its stated tolerance and runtime budget.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import gc
 import itertools
 import math
 import random
@@ -27,6 +28,10 @@ from polyzeta.zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
 
 @contextmanager
 def criterion(number: int, description: str, budget_seconds: float):
+    # a full collection walks the heap every earlier test left (tens of ms)
+    # and falls wherever the allocation counters reach their threshold; run
+    # it now, so the clock times the criterion's own work
+    gc.collect()
     start = time.perf_counter()
     try:
         yield
