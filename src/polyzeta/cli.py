@@ -166,8 +166,8 @@ def _run(args: argparse.Namespace) -> tuple[int, Callable, Callable]:
         left = params_from_json(_load_json(args.left))
         right = params_from_json(_load_json(args.right))
         lc = _EXPANSIONS[args.mode](left, right)
-        # evaluate noticeably tighter than the residual threshold
-        eval_tol = min(1e-10, args.tol / 100) if args.tol is not None else None
+        # evaluate noticeably tighter than a positive residual threshold
+        eval_tol = min(1e-10, args.tol / 100) if (args.tol or 0) > 0 else None
         cfg = _make_config(args.nmax, eval_tol)
         rep = verify_relation((left, right), lc, cfg,
                               residual_tolerance=args.tol)

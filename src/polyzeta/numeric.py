@@ -153,8 +153,9 @@ def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
         H_i(k) = acc_i(k) / (k - t_i)^(s_i)
         acc_i(k) = sum over j < k of c_i^(k - j) H_(i+1)(j),
 
-    maintained incrementally via acc_i <- c_i (acc_i + H_(i+1)). All
-    factors have modulus <= 1 under the convergence hypothesis. Every
+    maintained incrementally via acc_i <- c_i (acc_i + H_(i+1)); acc_i is
+    exactly 0 below level i's least index r - i + 1, and so is H_i, even
+    where (k - t_i)^(s_i) is 0. All factors have modulus <= 1. Every
     accumulator is a Neumaier-compensated pair (acc, comp); slot r-1 holds
     the partial sum and is never rescaled.
     """
@@ -176,7 +177,10 @@ def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
             h = cpow / (k - tr) ** sr
             for i in levels:
                 a = acc[i]
-                hi = (a + comp[i]) / (k - t[i]) ** s[i]
+                try:
+                    hi = (a + comp[i]) / (k - t[i]) ** s[i]
+                except ZeroDivisionError:  # k = t_i, below the least index
+                    hi = 0j
                 u = a + h
                 if abs(a) >= abs(h):
                     comp[i] = (comp[i] + ((a - u) + h)) * c[i]
@@ -201,8 +205,9 @@ def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
     where q is the largest modulus of the cumulative colors c_i.
 
     A term has modulus at most q^n1 (n1 - t1)^(-s1) times its inner levels,
-    and the levels below n1 sum to at most B_i(n1) = (1 - t_i)^(-s_i) +
-    integral from 1 to n1 of (x - t_i)^(-s_i) dx (all s_i >= 1). Past
+    and the levels below n1 sum to at most B_i(n1) = (m_i - t_i)^(-s_i) +
+    integral from m_i to n1 of (x - t_i)^(-s_i) dx (all s_i >= 1), based at
+    m_i = max(1, floor(t_i) + 1), the first index with n - t_i > 0. Past
     N = cutoff, B_i grows at most like B_i(N) e^(b_i (n - N)) and like
     B_i(N) ((n - t1) / D)^(g_i), where D = N - 1 - t1,
     b_i = (N - t_i)^(-s_i) / B_i(N) and g_i = max(N - t_i, D) b_i. So, with
@@ -212,21 +217,27 @@ def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
         polynomial (s1 > 1): B D^(1 - s1) / (s1 - 1 - sum g_i)
 
     and the least of those that apply; a bound is infinite where its
-    denominator is not positive. At depth 1 the polynomial bound is the
-    integral of the tail from N - 1. s1 = 1 at unit modulus has none.
+    denominator is not positive, or while N <= max t_i + 1. At depth 1 the
+    polynomial bound is the integral of the tail from N - 1. s1 = 1 at unit
+    modulus has none.
     """
     s1, t1 = p.s[0], float(p.t[0])
     d = cutoff - 1 - t1
+    if d <= 0:
+        return math.inf
     inner, rate, growth = 1.0, 0.0, 0.0
     for si, ti in zip(p.s[1:], p.t[1:]):
         ti = float(ti)
+        if cutoff <= ti + 1:
+            return math.inf
+        base = max(1, math.floor(ti) + 1) - ti
         if si == 1:
-            b = 1 / (1 - ti) + math.log((cutoff - ti) / (1 - ti))
+            b = 1 / base + math.log((cutoff - ti) / base)
         else:
-            b = (1 - ti) ** -si + ((1 - ti) ** (1 - si)
-                                   - (cutoff - ti) ** (1 - si)) / (si - 1)
+            b = base ** -si + (base ** (1 - si)
+                               - (cutoff - ti) ** (1 - si)) / (si - 1)
         inner *= b
-        bi = (cutoff - ti) ** -si / b if b > 0 else 0.0
+        bi = (cutoff - ti) ** -si / b
         rate += bi
         growth += max(cutoff - ti, d) * bi
     bound, ratio = math.inf, q * math.exp(rate)
@@ -277,26 +288,22 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     their order lcm, spaced by about 1.25, feed a fit of order
     J + 1 <= _FIT_MAX_ORDER on at most _FIT_ROWS rows. Its estimate is the
     largest of its gap to the order-J fit and its last two changes from fit
-    to fit, plus 100 times the rounding term. The first check to pass gives the result; at
-    ``cfg.n_max`` the smaller estimate does, flagged unconverged. Divergent
-    input raises, and so does a first column past float range (some
-    (1 - t_i)^s_i is 0 in floats, or 1/(1 - t_r)^s_r at the last level is
-    not finite) with ``OverflowError``.
+    to fit, plus 100 times the rounding term. The first check to pass gives
+    the result; at ``cfg.n_max`` the smaller estimate does, flagged
+    unconverged. Only this function refuses input: ``DivergenceError``
+    outside condition (e) or at s1 = 1, |xi_1| = 1, and ``OverflowError``
+    for a first column with no finite 1/(r - i + 1 - t_i)^s_i at some level.
     """
-    if not p.satisfies_condition_e():
-        raise DivergenceError(
-            f"{p.pretty()} violates the convergence hypothesis "
-            "(prefix color moduli <= 1 and shifts < 1)")
-    if not p.is_convergent():
-        raise DivergenceError(f"{p.pretty()} is divergent")
+    if not (p.satisfies_condition_e() and p.is_convergent()):
+        raise DivergenceError(f"divergent term {p.pretty()} (needs t_i < "
+                              "r - i + 1, |c_i| <= 1, s1 > 1 or |xi_1| < 1)")
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
-    # column 1 divides by (1 - t_i)^s_i at every level, and its term is
-    # c_r / (1 - t_r)^s_r: a power that underflows to a subnormal is not 0,
-    # but its reciprocal is not a finite float
-    firsts = [(1 - float(ti)) ** si for si, ti in zip(p.s, p.t)]
-    if 0 in firsts or not math.isfinite(1 / firsts[-1]):
-        raise OverflowError("first column: (1 - t_i)^s_i underflows to 0")
+    # a subnormal power is not 0, but its reciprocal is not a finite float
+    firsts = [(p.depth - i - float(ti)) ** si
+              for i, (si, ti) in enumerate(zip(p.s, p.t))]
+    if not all(f and math.isfinite(1 / f) for f in firsts):
+        raise OverflowError("first column: (r - i + 1 - t_i)^s_i underflows")
 
     cum = p.cumulative_colors()
     checkpoints = [cfg.n_start]
@@ -317,10 +324,10 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     noise = 100 * (p.weight + 2 * p.depth) * _EPS  # 100 x the rounding term
     # the plain rounding term per unit of summed |column| also covers an
     # exact shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
-    # by at most s_i / (1 - t_i)
+    # by at most s_i / (m_i - t_i), m_i = max(1, floor(t_i) + 1)
     ulps = (p.weight + 2 * p.depth) * _EPS + sum(
-        si * math.ulp(float(ti)) / 2 / (1 - float(ti))
-        for si, ti in zip(p.s, p.t) if float(ti) != ti)
+        si * math.ulp(tf) / 2 / (max(1, math.floor(tf) + 1) - tf)
+        for si, ti in zip(p.s, p.t) if (tf := float(ti)) != ti)
     previous = plain = fit = None  # plain and fit: (value, error estimate)
     settled = False
     for cutoff, (head, tail, last, mass) in zip(cutoffs,
@@ -384,17 +391,13 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
     Without an explicit ``residual_tolerance``, the acceptance threshold
     is the propagated error budget of the evaluations plus ``cfg.tolerance``.
     An unconverged evaluation fails the check whatever the residual.
-    Terms are summed in sorted order. A divergent term raises, naming the
-    term.
+    Terms are summed in sorted order. ``eval_di`` raises on a divergent
+    term, naming it; p and q are evaluated first.
     """
     if residual_tolerance is not None and not 0 <= residual_tolerance < math.inf:
         raise ValueError("residual_tolerance must be finite and >= 0")
     p, q = lhs
     jobs: list[PolyzetaParams] = [p, q] + [term for term, _ in rhs.sorted_terms()]
-    for params in jobs:
-        if not (params.satisfies_condition_e() and params.is_convergent()):
-            raise DivergenceError(f"divergent term {params.pretty()}")
-
     results = [eval_di(pp, cfg) for pp in jobs]
 
     rp, rq = results[0], results[1]

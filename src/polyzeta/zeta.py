@@ -5,14 +5,15 @@ A parameter set (s, xi, t) of equal length r describes the nested sum
     sum over n1 > ... > nr > 0 of
         xi_1^n1 ... xi_r^nr / ((n1 - t_1)^s1 ... (nr - t_r)^sr)
 
-with a composition s, nonzero colors xi and shifts t < 1. This module
-provides the word encoding of such parameter sets over the ``X0``/``XForm``
-alphabet, its inverse, and the two symbolic expansions of a product of two
-series into a formal combination of series: through the word interleaving
-of the encodings (``shuffle_expand``) and through the contraction product
-on (s, xi) pairs at a common diagonal shift (``duffle_expand``). Both
-encode their factors as words, multiply them with ``products.star``'s
-engine and decode the terms.
+with a composition s, nonzero colors xi and shifts t_i below level i's
+least index r - i + 1 (condition (e)). This module provides the word
+encoding of such parameter sets over the ``X0``/``XForm`` alphabet, its
+inverse, and the two symbolic expansions of a product of two series into a
+formal combination of series: through the word interleaving of the
+encodings (``shuffle_expand``) and through the contraction product on
+(s, xi) pairs at a common diagonal shift (``duffle_expand``). Both encode
+their factors as words, multiply them with ``products.star``'s engine and
+decode the terms. Both are formal: only the evaluator refuses divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import DiagonalError, DivergenceError, ShapeError
+from .errors import DiagonalError, ShapeError
 from .products import DUFFLE, SHUFFLE, star
 from .scalars import (Color, Real, check_color, color_sort_key, cumulative,
                       in_range, ratio, real_shift)
@@ -77,10 +78,11 @@ class PolyzetaParams:
         return cumulative(self.xi)
 
     def satisfies_condition_e(self) -> bool:
-        """All prefix products of colors have modulus <= 1 and all
-        shifts are < 1 (the convergence hypothesis of the series)."""
+        """All prefix products of colors have modulus <= 1 and every shift
+        t_i lies below its level's least index r - i + 1 (the convergence
+        hypothesis of the series)."""
         return (all(abs(c) <= 1 for c in self.cumulative_colors())
-                and all(ti < 1 for ti in self.t))
+                and all(ti < self.depth - i for i, ti in enumerate(self.t)))
 
     def is_convergent(self) -> bool:
         """True when the nested sum converges: s1 > 1, or s1 = 1 with
@@ -178,23 +180,17 @@ def shuffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
     their encodings: every interleaving decodes to a parameter set, and
     the multiplicities become the coefficients.
 
-    Both inputs must be convergent; every output term then is (the first
-    form letter of an interleaving is the first form letter of one of the
-    inputs, so leading exponents or leading moduli carry over).
+    The expansion is formal. Convergent factors give convergent terms: an
+    interleaving's first form letter is one input's, so leading exponents
+    or moduli carry over, and a level's shift is a sum of at most one shift
+    of each factor, each below its count of letters from there on.
     """
     if p.depth == 0:
         return LinComb.monomial(q)
     if q.depth == 0:
         return LinComb.monomial(p)
-    for name, params in (("left", p), ("right", q)):
-        if not params.is_convergent():
-            raise DivergenceError(
-                f"{name} factor {params.pretty()} is divergent; "
-                "the interleaving expansion is defined on convergent series")
-    terms = [(decode(wd), c) for wd, c in star(SHUFFLE, encode(p), encode(q))]
-    assert all(term.is_convergent() for term, _ in terms), \
-        "interleaving produced a divergent term"
-    return LinComb(terms)
+    return LinComb((decode(wd), c)
+                   for wd, c in star(SHUFFLE, encode(p), encode(q)))
 
 
 def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],

@@ -113,6 +113,23 @@ def double_sum_oracle(s, xi, shifts, cutoff: int) -> complex:
     return total
 
 
+def nested_sum_oracle(s, xi, shifts, cutoff: int) -> complex:
+    """Truncated sum below the cutoff at any depth, level by level from the
+    innermost: a level's value at n is its term at n times the sum of the
+    deeper level's values below n, and indices below the level's least
+    index (where that sum is empty) are skipped, never divided by."""
+    values = [1 + 0j] + [0j] * (cutoff - 1)  # the empty level: 1 at n = 0
+    for si, x, t in reversed(list(zip(s, xi, shifts))):
+        x, t = complex(x), float(t)
+        below, nxt = 0j, [0j] * cutoff
+        for n in range(1, cutoff):
+            below += values[n - 1]
+            if below:
+                nxt[n] = x ** n / (n - t) ** si * below
+        values = nxt
+    return complex(fsum(v.real for v in values), fsum(v.imag for v in values))
+
+
 def rational_grid(rng, lo=-3, hi=3, qmax=4) -> Fraction:
     """Small random nonzero rational."""
     p = 0

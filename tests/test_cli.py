@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -175,6 +176,48 @@ def test_verify_command_shuffle(capsys):
     assert payload["ok"] is True and payload["residual"] <= 1e-8
 
 
+def test_verify_shuffle_with_shifts_adding_past_one(capsys):
+    # the expansion has Z((2,2);(1,1);(6/5,3/5)), convergent as n1 >= 2
+    factor = '{"s": [2], "xi": [1], "t": ["3/5"]}'
+    code, out, _ = run(capsys, "verify", "--mode", "shuffle",
+                       "--left", factor, "--right", factor)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_shuffle_expansion_is_formal_and_verify_refuses_divergence(capsys):
+    div, ok = '{"s": [1], "xi": [1], "t": [0]}', ZETA2
+    code, out, _ = run(capsys, "zeta-expand", "--mode", "shuffle",
+                       "--left", div, "--right", ok)
+    assert code == 0
+    assert sorted(term.s for term, _ in lincomb_from_json(json.loads(out))) \
+        == [(1, 2), (2, 1)]
+    code, out, err = run(capsys, "verify", "--mode", "shuffle",
+                         "--left", div, "--right", ok)
+    assert code == 3 and out == ""
+    assert err.startswith("error: divergent term Z(s=(1);")
+
+
+def test_eval_deep_shift_stays_unconverged_at_a_small_nmax(capsys):
+    # t1 = 9.5 is below level 1's least index 10; 64 columns do not converge
+    params = {"s": [2] * 10, "xi": [1] * 10, "t": [9.5] + [0] * 9}
+    code, out, _ = run(capsys, "eval", "--nmax", "64",
+                       "--params", json.dumps(params))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["error"] is not None and 0 < payload["error"] < math.inf
+
+
+def test_verify_tol_zero_is_judged_on_the_residual(capsys):
+    code, out, _ = run(capsys, "verify", "--mode", "shuffle",
+                       "--left", ZETA2, "--right", ZETA2, "--tol", "0")
+    assert code == 1 and json.loads(out)["residual"] > 0
+    empty = '{"s": [], "xi": [], "t": []}'
+    code, out, _ = run(capsys, "verify", "--mode", "shuffle",
+                       "--left", empty, "--right", empty, "--tol", "0")
+    assert code == 0 and json.loads(out)["residual"] == 0
+
+
 def test_verify_command_duffle_at_zero_shift(capsys):
     left = {"s": [3, 1], "xi": ["2/3", "-1"], "t": [0, 0]}
     right = {"s": [2], "xi": ["1/2"], "t": [0]}
@@ -317,6 +360,8 @@ HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
     ("eval", "--params", ZETA2, "--tol", "-1"),
     ("verify", "--mode", "shuffle", "--left", ZETA2, "--right", ZETA2,
      "--nmax", "1"),
+    ("verify", "--mode", "shuffle", "--left", ZETA2, "--right", ZETA2,
+     "--tol", "-1"),
     # JSON 1e999 parses to inf
     ("eval", "--params", '{"s": [2], "xi": [1], "t": [-1e999]}'),
     ("eval", "--params", ZETA2, "--tol", "inf"),
@@ -351,8 +396,9 @@ HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
      "--right", ZETA2, "--format", "pretty"),
     ("eval", "--params", '{"s": [2], "xi": [{"q": true, "n": 3}], "t": [0]}'),
 ), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
-        "verify-nmax-1", "non-finite-shift", "eval-tol-inf", "eval-tol-nan",
-        "verify-tol-inf", "verify-tol-nan", "float-exponent",
+        "verify-nmax-1", "verify-negative-tol", "non-finite-shift",
+        "eval-tol-inf", "eval-tol-nan", "verify-tol-inf", "verify-tol-nan",
+        "float-exponent",
         "bool-exponent", "string-exponent", "float-letter-index",
         "non-finite-letter-value", "non-finite-alphabet",
         "non-string-family", "root-of-unity-shift",
@@ -362,6 +408,9 @@ def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:")
+    if argv[0] == "verify" and "--tol" in argv:
+        # the residual threshold is refused, not an evaluation tolerance
+        assert "residual_tolerance must be finite and >= 0" in err
 
 
 def strict_json(text):

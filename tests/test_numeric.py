@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import brute_M, double_sum_oracle, rational_grid, single_sum_oracle
+from oracles import (brute_M, double_sum_oracle, nested_sum_oracle,
+                     rational_grid, single_sum_oracle)
 from polyzeta.errors import DivergenceError
 from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
-                              check_prop_M, eval_di, partial_M,
+                              _tail_bound, check_prop_M, eval_di, partial_M,
                               verify_relation)
 from polyzeta.scalars import exact_color, root_of_unity, root_order
 from polyzeta.zeta import (LinComb, PolyzetaParams, duffle_expand,
@@ -127,6 +128,52 @@ def test_eval_keeps_an_outer_level_whose_first_power_is_subnormal():
     direct = sum(sum(1 / m**2 for m in range(1, n)) / (n - t) ** 20
                  for n in range(2, 100))
     assert res.converged and abs(res.value - direct) < 1e-14
+
+
+def test_eval_keeps_an_outer_level_whose_shift_is_just_below_one():
+    # (1 - t1)^30 is 0 in floats, but level 1 starts at its least index 2
+    p = P((30, 2), (1, 1), (0.999999999999999, 0))
+    res = eval_di(p)
+    direct = nested_sum_oracle(p.s, p.xi, p.t, 200)
+    assert res.converged and abs(res.value - 1.0000000011641332) < 1e-15
+    assert abs(res.value - direct) <= res.error_estimate
+
+
+@pytest.mark.parametrize("s2, t1, t2", (
+    (3, F(1), F(1, 2)),  # 13.387498515846966
+    (2, F(6, 5), F(3, 5)),  # 14.880920492411709
+))
+def test_eval_hurwitz_sums_with_shifts_past_one(s2, t1, t2):
+    # level 1 of a depth-2 sum starts at n1 = 2, so t1 < 2 keeps it finite:
+    # the sum is sum over n1 >= 2 of (n1 - t1)^-2 (zeta(s2, 1 - t2) -
+    # zeta(s2, n1 - t2)) with Hurwitz zetas
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(t1.numerator) / t1.denominator
+        b = mpmath.mpf(t2.numerator) / t2.denominator
+        ref = complex(mpmath.nsum(
+            lambda n: (n - a) ** -2 * (mpmath.zeta(s2, 1 - b)
+                                       - mpmath.zeta(s2, n - b)),
+            [2, mpmath.inf]))
+    res = eval_di(P((2, s2), (1, 1), (t1, t2)))
+    assert res.converged and abs(res.value - ref) <= res.error_estimate
+
+
+@pytest.mark.parametrize("s, xi, t", (
+    ((2,) * 10, (F(1, 2),) + (1,) * 9, (F(19, 2),) + (0,) * 9),
+    ((2, 2, 2), (F(1, 2), 1, 1), (0, F(3, 2), 0)),
+    ((1, 3, 2), (F(-2, 3), 1, 1), (F(5, 2), F(1, 2), F(-1, 3))),
+))
+def test_eval_geometric_sums_with_shifts_up_to_the_least_index(s, xi, t):
+    # every column below a level's least index is 0; at depth 10 a bound on
+    # the negative base N - 1 - t1 would settle the sum there, falsely, at 0
+    p = P(s, xi, t)
+    q = float(max(abs(c) for c in p.cumulative_colors()))
+    assert _tail_bound(p, q, math.floor(max(t)) + 1) == math.inf
+    res = eval_di(p)
+    assert res.converged and res.n_used > max(t) + 1
+    direct = nested_sum_oracle(s, xi, t, 300)
+    assert abs(res.value - direct) <= res.error_estimate
 
 
 def test_eval_depth_zero():
@@ -323,6 +370,16 @@ def test_verify_with_exact_polar_colors():
     rep = verify_relation((p, q), shuffle_expand(p, q),
                           EvalConfig(n_start=2**9, n_max=2**14))
     assert rep.ok and rep.residual <= 1e-10
+
+
+@pytest.mark.parametrize("t", (F(1, 2), F(3, 5)))
+def test_verify_shuffle_square_with_shifts_adding_past_one(t):
+    # Z(2;1;t)^2 has the term Z((2,2);(1,1);(2t,t)), convergent as n1 >= 2
+    p = P((2,), (1,), (t,))
+    lc = shuffle_expand(p, p)
+    assert P((2, 2), (1, 1), (2 * t, t)) in lc.terms
+    rep = verify_relation((p, p), lc)
+    assert rep.ok and rep.converged
 
 
 def test_verify_names_divergent_terms():

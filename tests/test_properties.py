@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyzeta.hopf import antipode, antipode_recursive, coproduct, counit
 from polyzeta.products import (DUFFLE, MINUS_STUFFLE, MULSTUFFLE, SHUFFLE,
@@ -25,10 +25,12 @@ pair_words = st.builds(
                    max_size=3))
 
 shifts = st.fractions(min_value=F(-2), max_value=F(0), max_denominator=5)
+shifts_below_one = st.fractions(min_value=F(-2), max_value=F(1),
+                                max_denominator=5).filter(lambda f: f < 1)
 
 
 @st.composite
-def convergent_params(draw, max_depth=3):
+def convergent_params(draw, max_depth=3, shift=shifts):
     depth = draw(st.integers(1, max_depth))
     s = (draw(st.integers(2, 4)),) + tuple(
         draw(st.integers(1, 3)) for _ in range(depth - 1))
@@ -37,7 +39,7 @@ def convergent_params(draw, max_depth=3):
                               max_denominator=6))
             * draw(st.sampled_from((1, -1))) for _ in range(depth)]
     xi = [cums[0]] + [cums[i] / cums[i - 1] for i in range(1, depth)]
-    t = tuple(draw(shifts) for _ in range(depth))
+    t = tuple(draw(shift) for _ in range(depth))
     return PolyzetaParams.of(s, xi, t)
 
 
@@ -165,3 +167,16 @@ def test_shuffle_expand_conservation(p, q):
         assert term.weight == p.weight + q.weight
         assert term.satisfies_condition_e()
         assert term.is_convergent()
+
+
+@settings(max_examples=40, deadline=None)
+@given(convergent_params(max_depth=2, shift=shifts_below_one),
+       convergent_params(max_depth=2, shift=shifts_below_one))
+@example(PolyzetaParams.of((2,), (1,), (F(3, 5),)),
+         PolyzetaParams.of((2,), (1,), (F(3, 5),)))
+def test_shuffle_terms_keep_condition_e(p, q):
+    # a term's shift at a level sums at most one shift of each factor, each
+    # below that factor's count of letters from there on
+    assert p.satisfies_condition_e() and q.satisfies_condition_e()
+    for term, _ in shuffle_expand(p, q):
+        assert term.satisfies_condition_e() and term.is_convergent()

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import star_oracle
 from polyzeta.errors import DiagonalError, DivergenceError, ShapeError
+from polyzeta.numeric import verify_relation
 from polyzeta.products import DUFFLE
 from polyzeta.scalars import root_of_unity
 from polyzeta.words import PairLetter, Word, X0, XForm, word
@@ -79,6 +80,15 @@ def test_condition_e_and_convergence():
     assert P((2,), (1,), (0,)).is_convergent()
     assert not P((1,), (1,), (0,)).is_convergent()
     assert P((1,), (F(1, 2),), (0,)).is_convergent()
+
+
+def test_condition_e_bounds_each_shift_by_its_least_index():
+    # level i of a depth-r sum starts at n_i = r - i + 1
+    assert P((2, 2), (1, 1), (F(6, 5), F(3, 5))).satisfies_condition_e()
+    assert P((2, 2, 2), (1, 1, 1), (F(29, 10), F(19, 10), 0)
+             ).satisfies_condition_e()
+    assert not P((2, 2), (1, 1), (2, 0)).satisfies_condition_e()
+    assert not P((2, 2), (1, 1), (0, 1)).satisfies_condition_e()
 
 
 def test_tbar_depth_one_and_worked_pair():
@@ -216,13 +226,15 @@ def test_shuffle_expand_unit():
     assert shuffle_expand(PolyzetaParams(), p) == LinComb.monomial(p)
 
 
-def test_shuffle_expand_requires_convergence():
+def test_shuffle_expand_is_formal():
+    # the expansion accepts divergent factors; only evaluation refuses them
     div = P((1,), (1,), (0,))
     ok = P((2,), (1,), (0,))
-    with pytest.raises(DivergenceError):
-        shuffle_expand(div, ok)
-    with pytest.raises(DivergenceError):
-        shuffle_expand(ok, div)
+    expected = LinComb({P((1, 2), (1, 1), (0, 0)): 1,
+                        P((2, 1), (1, 1), (0, 0)): 2})
+    assert shuffle_expand(div, ok) == shuffle_expand(ok, div) == expected
+    with pytest.raises(DivergenceError, match=r"Z\(s=\(1\);"):
+        verify_relation((div, ok), expected)
 
 
 def test_shuffle_expand_leading_one_allowed_with_damping():
