@@ -21,7 +21,8 @@ lcm of the color orders, where every oscillating factor is 1, in the basis
 {1, N^-j log^k N}, and stops at whichever check passes.
 Internally the recursion is written in terms of *cumulative* colors, whose
 moduli stay <= 1 under the convergence hypothesis, so no intermediate
-quantity can overflow even when individual color ratios exceed 1.
+quantity can overflow even when individual color ratios exceed 1. When all
+of them are real, the columns are summed in floats, to the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .errors import DivergenceError
-from .scalars import cumulative, root_order
+from .scalars import cumulative, float_or_complex, root_order
 from .zeta import LinComb, PolyzetaParams, duffle_index
 
 _EPS = sys.float_info.epsilon
@@ -156,48 +157,49 @@ def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
     maintained incrementally via acc_i <- c_i (acc_i + H_(i+1)); acc_i is
     exactly 0 below level i's least index r - i + 1, and so is H_i, even
     where (k - t_i)^(s_i) is 0. All factors have modulus <= 1. Every
-    accumulator is a Neumaier-compensated pair (acc, comp); slot r-1 holds
-    the partial sum and is never rescaled.
+    accumulator is a Neumaier-compensated pair (acc, comp), and so is the
+    partial sum, never rescaled. Real c_i run it all on floats, to the bits
+    complexes give: on imaginary parts 0 their operations are the float ones.
     """
-    c = [complex(v) for v in p.cumulative_colors()]
+    c = float_or_complex(p.cumulative_colors())
     s = p.s
     t = [float(v) for v in p.t]
     r = p.depth
-    acc = [0j] * r
-    comp = [0j] * r
+    zero = type(c[0])()
+    acc = [zero] * (r - 1)
+    comp = [zero] * (r - 1)
     cr, sr, tr = c[r - 1], s[r - 1], t[r - 1]
-    levels = range(r - 2, -1, -1)
-    cpow = 1 + 0j
-    h = 0j
+    levels = [(i, c[i], s[i], t[i]) for i in range(r - 2, -1, -1)]
+    cpow = 1 + zero
+    h = total = corr = zero
     mass = 0.0
     start = 1
     for cutoff in cutoffs:
         for k in range(start, cutoff):
             cpow *= cr
             h = cpow / (k - tr) ** sr
-            for i in levels:
-                a = acc[i]
+            for i, ci, si, ti in levels:
+                a, e = acc[i], comp[i]
                 try:
-                    hi = (a + comp[i]) / (k - t[i]) ** s[i]
+                    hi = (a + e) / (k - ti) ** si
                 except ZeroDivisionError:  # k = t_i, below the least index
-                    hi = 0j
+                    hi = zero
                 u = a + h
                 if abs(a) >= abs(h):
-                    comp[i] = (comp[i] + ((a - u) + h)) * c[i]
+                    comp[i] = (e + ((a - u) + h)) * ci
                 else:
-                    comp[i] = (comp[i] + ((h - u) + a)) * c[i]
-                acc[i] = u * c[i]
+                    comp[i] = (e + ((h - u) + a)) * ci
+                acc[i] = u * ci
                 h = hi
-            a = acc[r - 1]
-            u = a + h
-            if abs(a) >= abs(h):
-                comp[r - 1] += (a - u) + h
+            u = total + h
+            if abs(total) >= abs(h):
+                corr += (total - u) + h
             else:
-                comp[r - 1] += (h - u) + a
-            acc[r - 1] = u
+                corr += (h - u) + total
+            total = u
             mass += abs(h)
         start = cutoff
-        yield acc[r - 1], comp[r - 1], h, mass
+        yield complex(total), complex(corr), complex(h), mass
 
 
 def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
@@ -299,11 +301,16 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                               "r - i + 1, |c_i| <= 1, s1 > 1 or |xi_1| < 1)")
     if p.depth == 0:
         return EvalResult(1 + 0j, 0.0, 0, True)
-    # a subnormal power is not 0, but its reciprocal is not a finite float
-    firsts = [(p.depth - i - float(ti)) ** si
-              for i, (si, ti) in enumerate(zip(p.s, p.t))]
-    if not all(f and math.isfinite(1 / f) for f in firsts):
-        raise OverflowError("first column: (r - i + 1 - t_i)^s_i underflows")
+    # a subnormal power is not 0, but its reciprocal is not a finite float;
+    # an exact shift just below its least index may round up to it
+    gaps = [p.depth - i - float(ti) for i, ti in enumerate(p.t)]
+    if not all((f := g ** si) and math.isfinite(1 / f)
+               for g, si in zip(gaps, p.s)):
+        i = gaps.index(min(gaps))
+        raise OverflowError("first column: " + (
+            f"shift t_{i + 1} = {p.t[i]} rounds to its least index "
+            f"{p.depth - i} in floats" if gaps[i] <= 0
+            else "(r - i + 1 - t_i)^s_i underflows"))
 
     cum = p.cumulative_colors()
     checkpoints = [cfg.n_start]

@@ -17,6 +17,7 @@ Every rule that branches on scalar types lives here: ``check_color``,
 ``real_shift`` (a shift is a real within float range), ``scalar_tag`` (a
 letter field's identity beyond ``==``), ``in_range`` (a computed value
 past float range is an overflow), ``ratio``, ``cumulative``,
+``float_or_complex`` (the float type a sum of colors can run in),
 ``root_order`` and ``color_sort_key``.
 """
 
@@ -176,6 +177,13 @@ def ratio(c: Color, prev: Color) -> Color:
 def cumulative(xi) -> tuple:
     """Prefix products xi_1, xi_1 xi_2, ... of a color sequence."""
     return tuple(map(in_range, accumulate(xi, mul, initial=1)))[1:]
+
+
+def float_or_complex(values) -> list:
+    """``values`` as floats when every imaginary part is 0 (of either
+    sign), else as complexes."""
+    zs = [complex(v) for v in values]
+    return zs if any(z.imag for z in zs) else [z.real for z in zs]
 
 
 def root_order(c: Color) -> int:

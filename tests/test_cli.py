@@ -277,6 +277,18 @@ def test_exit_code_3_on_domain_errors(capsys):
         assert err.startswith("error: float range exceeded")
 
 
+def test_eval_names_a_shift_that_rounds_to_its_least_index(capsys):
+    # t = 1 - 10^-20 is below 1, but float(t) = 1.0: exit 3, and the error
+    # names the rounded shift, not an underflow
+    code, out, err = run(capsys, "eval", "--params", json.dumps(
+        {"s": [2], "xi": [1],
+         "t": ["99999999999999999999/100000000000000000000"]}))
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("error: float range exceeded: first column: ")
+    assert "t_1 = 99999999999999999999/100000000000000000000 rounds to " \
+        "its least index 1 in floats" in err
+
+
 UNDERFLOW = '{"s": [30], "xi": [1], "t": [0.999999999999999]}'
 SUBNORMAL = '{"s": [20], "xi": [1], "t": [0.9999999999999999]}'
 MONOID_MAX = '[{"kind": "monoid", "value": 1e308}]'

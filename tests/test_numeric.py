@@ -10,7 +10,8 @@ from polyzeta.errors import DivergenceError
 from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
                               _tail_bound, check_prop_M, eval_di, partial_M,
                               verify_relation)
-from polyzeta.scalars import exact_color, root_of_unity, root_order
+from polyzeta.scalars import (exact_color, float_or_complex, root_of_unity,
+                              root_order)
 from polyzeta.zeta import (LinComb, PolyzetaParams, duffle_expand,
                            shuffle_expand)
 
@@ -118,6 +119,22 @@ def test_eval_refuses_a_first_column_past_float_range(p):
     assert p.satisfies_condition_e() and p.is_convergent()
     with pytest.raises(OverflowError, match="first column"):
         eval_di(p)
+
+
+@pytest.mark.parametrize("p, level", (
+    (P((2,), (1,), (1 - F(1, 10**20),)), "t_1 = 99999999999999999999/"
+     "100000000000000000000 rounds to its least index 1"),
+    (P((3, 2), (1, 1), (0, 1 - F(1, 10**20))), "t_2 = 9"),
+    (P((2, 2), (1, 1), (2 - F(1, 10**20), 0)), "least index 2"),
+), ids=("depth-1", "last-level", "first-level"))
+def test_eval_names_a_shift_that_rounds_to_its_least_index(p, level):
+    # the exact shift satisfies condition (e), but in floats the first
+    # column divides by 0: the shift's rounding, not an underflow, is named
+    assert p.satisfies_condition_e() and p.is_convergent()
+    with pytest.raises(OverflowError, match="first column") as info:
+        eval_di(p)
+    assert level in str(info.value) and "in floats" in str(info.value)
+    assert "underflow" not in str(info.value)
 
 
 def test_eval_keeps_an_outer_level_whose_first_power_is_subnormal():
@@ -289,12 +306,36 @@ _W3 = root_of_unity(1, 3)
      ("(-0.822467035286872+0j)", 6.104447050040251e-05, 2**14, False)),
     (P((2, 2), (F(1, 2), 2), (0, F(1, 3))), EvalConfig(n_max=2**14),
      ("(0.4098479699594618+0j)", 0.00022889580722107894, 2**14, False)),
+    # real cumulative colors sum in floats, to the bits complexes gave:
+    # zeta(3,1,1) at one fixed cutoff
+    (P((3, 1, 1), (1, 1, 1), (0, 0, 0)),
+     EvalConfig(n_start=2**12, n_max=2**12),
+     ("(0.09654986525247834+0j)", 2.9005167315596235e-06, 2**12, False)),
+    # t_1 = 1 divides by 0.0 at k = 1, below level 1's least index
+    (P((2, 2), (F(-1, 2), -2), (1, F(1, 3))), EvalConfig(n_max=2**14),
+     ("(-1.0554480758457072+0j)", 0.00022890977926571656, 2**14, False)),
+    # a -0.0 imaginary part counts as real
+    (P((2, 1), (complex(-0.5, -0.0), complex(-1.0, -0.0)), (0, 0)),
+     EvalConfig(n_max=2**12),
+     ("(-0.05835994579314065+0j)", 1.1398217616876683e-13, 64, True)),
 ])
 def test_eval_golden_values(p, cfg, expected):
     # bit-exact pins: any change to the summation order shows up here
     res = eval_di(p, cfg)
     assert (repr(res.value), res.error_estimate, res.n_used,
             res.converged) == expected
+
+
+@pytest.mark.parametrize("values, kind", [
+    ((1, F(-1, 2), -3), float),
+    ((complex(0.5, 0.0), complex(-1.0, -0.0), F(1, 3)), float),
+    ((1, root_of_unity(1, 3), F(1, 2)), complex),
+], ids=("exact-reals", "zero-imaginary-parts", "one-root-of-unity"))
+def test_float_or_complex_takes_floats_only_when_every_value_is_real(
+        values, kind):
+    got = float_or_complex(values)
+    assert all(type(v) is kind for v in got)
+    assert [complex(v) for v in got] == [complex(v) for v in values]
 
 
 def test_eval_trace_keeps_the_raw_partial_sums():
