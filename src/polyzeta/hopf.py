@@ -1,12 +1,12 @@
 """Deconcatenation coproduct, counit, antipode and checkable Hopf axioms.
 
-The coproduct splits a word into all prefix/suffix pairs; together with any
-product from the bracket family this yields a bialgebra, and Hoffman's
-closed formula over compositions of the reversed word provides the
-antipode (the recursion forced by the convolution axiom is kept as a
+The coproduct splits a word into its prefix/suffix pairs; with any product
+from the bracket family acting on each side, this yields a bialgebra, and
+Hoffman's closed formula over compositions of the reversed word provides
+the antipode (the recursion forced by the convolution axiom is kept as a
 second, independent route). ``check_bialgebra`` and ``check_antipode``
-verify the defining identities exhaustively over a finite sample alphabet
-and report the first counterexample found.
+verify the defining identities exhaustively on one sample of words over a
+finite alphabet, with their coproducts, and report the first counterexample.
 """
 
 from __future__ import annotations
@@ -21,31 +21,12 @@ from .words import (EMPTY_WORD, Combination, Letter, MonoidLetter,
                     PairLetter, Polynomial, Word, x, y)
 
 
-class TensorPolynomial(Combination):
-    """Finite combination of word pairs u (x) v, in canonical form.
-
-    The bracket product acts componentwise:
-    ``(u (x) v) * (u' (x) v') = (u * u') (x) (v * v')``.
-    """
-
-    __slots__ = ()
-
-    def star(self, br: Bracket, other: "TensorPolynomial") -> "TensorPolynomial":
-        """Componentwise bracket product of tensors."""
-        return TensorPolynomial(
-            ((w1, w2), c1 * c2 * a * b)
-            for (u1, u2), c1 in self.terms.items()
-            for (v1, v2), c2 in other.terms.items()
-            for w1, a in _star_words(br, u1, v1).items()
-            for w2, b in _star_words(br, u2, v2).items())
-
-
-def coproduct(w: Union[Word, Polynomial]) -> TensorPolynomial:
-    """Sum of all deconcatenation splittings u (x) v with uv = w, extended
+def coproduct(w: Union[Word, Polynomial]) -> Combination:
+    """Sum of the splittings u (x) v, uv = w, as (u, v) word pairs, extended
     linearly to polynomials; (u, v) determines uv, so none collide."""
     terms = w.terms.items() if isinstance(w, Polynomial) else ((w, 1),)
-    return TensorPolynomial._raw({(wd[:i], wd[i:]): c for wd, c in terms
-                                  for i in range(len(wd) + 1)})
+    return Combination._raw({(wd[:i], wd[i:]): c for wd, c in terms
+                             for i in range(len(wd) + 1)})
 
 
 def counit(s: Union[Word, Polynomial]):
@@ -157,9 +138,15 @@ def default_alphabet(br: Bracket) -> tuple[Letter, ...]:
     raise ValueError(f"no default alphabet for bracket {name!r}")
 
 
-def _words_of_length(alphabet: Sequence[Letter], n: int):
-    for combo in itertools.product(alphabet, repeat=n):
-        yield Word(combo)
+def _sample(br: Bracket, maxlen: int, alphabet: Optional[Sequence[Letter]]):
+    """Per length n <= maxlen, the words of length n over the alphabet (by
+    default the bracket's) with their coproducts."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
+    if alphabet is None:
+        alphabet = default_alphabet(br)
+    return [[(w, coproduct(w)) for w in map(Word, itertools.product(
+        alphabet, repeat=n))] for n in range(maxlen + 1)]
 
 
 def check_bialgebra(br: Bracket, maxlen: int,
@@ -170,12 +157,7 @@ def check_bialgebra(br: Bracket, maxlen: int,
     coproduct(w1 * w2) = coproduct(w1) * coproduct(w2). Associativity is
     not tested here: a non-associative bracket shows up in
     ``check_antipode``."""
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
-    if alphabet is None:
-        alphabet = default_alphabet(br)
-    by_len = [[(w, coproduct(w)) for w in _words_of_length(alphabet, n)]
-              for n in range(maxlen + 1)]
+    by_len = _sample(br, maxlen, alphabet)
     checked = 0
     for total in range(maxlen + 1):
         for n1 in range(total + 1):
@@ -187,7 +169,13 @@ def check_bialgebra(br: Bracket, maxlen: int,
                         return CheckReport(
                             "bialgebra-commutativity", False, checked,
                             {"left": w1, "right": w2})
-                    if cop1.star(br, cop2) != coproduct(prod):
+                    # (u (x) v)(u' (x) v') = (u * u') (x) (v * v')
+                    cops = Combination(
+                        ((a, b), c1 * c2 * ca * cb)
+                        for (u1, u2), c1 in cop1 for (v1, v2), c2 in cop2
+                        for a, ca in _star_words(br, u1, v1).items()
+                        for b, cb in _star_words(br, u2, v2).items())
+                    if cops != coproduct(prod):
                         return CheckReport(
                             "bialgebra-compatibility", False, checked,
                             {"left": w1, "right": w2})
@@ -201,18 +189,13 @@ def check_antipode(br: Bracket, maxlen: int,
         sum a(u) * v = sum u * a(v) = <w|1> 1   over splittings uv = w,
 
     on all words of length <= maxlen over the sample alphabet."""
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
-    if alphabet is None:
-        alphabet = default_alphabet(br)
     checked = 0
-    for n in range(maxlen + 1):
-        for w in _words_of_length(alphabet, n):
+    for n, words in enumerate(_sample(br, maxlen, alphabet)):
+        for w, cop in words:
             expect = Polynomial.one() if n == 0 else Polynomial.zero()
-            splits = [(w[:i], w[i:]) for i in range(n + 1)]
-            left = Polynomial(term for u, v in splits
+            left = Polynomial(term for u, v in cop.terms
                               for term in star(br, antipode(br, u), v))
-            right = Polynomial(term for u, v in splits
+            right = Polynomial(term for u, v in cop.terms
                                for term in star(br, u, antipode(br, v)))
             checked += 1
             if left != expect:

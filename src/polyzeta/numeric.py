@@ -209,30 +209,28 @@ def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
     A term has modulus at most q^n1 (n1 - t1)^(-s1) times its inner levels,
     and the levels below n1 sum to at most B_i(n1) = (m_i - t_i)^(-s_i) +
     integral from m_i to n1 of (x - t_i)^(-s_i) dx (all s_i >= 1), based at
-    m_i = max(1, floor(t_i) + 1), the first index with n - t_i > 0. Past
-    N = cutoff, B_i grows at most like B_i(N) e^(b_i (n - N)) and like
-    B_i(N) ((n - t1) / D)^(g_i), where D = N - 1 - t1,
-    b_i = (N - t_i)^(-s_i) / B_i(N) and g_i = max(N - t_i, D) b_i. So, with
-    B = prod over i >= 2 of B_i(N),
+    level i's least index m_i = r - i + 1. Past N = cutoff, B_i grows at
+    most like B_i(N) e^(b_i (n - N)) and like B_i(N) ((n - t1) / D)^(g_i),
+    where D = N - 1 - t1, b_i = (N - t_i)^(-s_i) / B_i(N) and
+    g_i = max(N - t_i, D) b_i. So, with B = prod over i >= 2 of B_i(N),
 
         geometric (q < 1):   (N - t1)^(-s1) B q^N / (1 - q e^(sum b_i))
         polynomial (s1 > 1): B D^(1 - s1) / (s1 - 1 - sum g_i)
 
     and the least of those that apply; a bound is infinite where its
-    denominator is not positive, or while N <= max t_i + 1. At depth 1 the
-    polynomial bound is the integral of the tail from N - 1. s1 = 1 at unit
-    modulus has none.
+    denominator is not positive, or while N <= r, where no index tuple lies
+    below N (past r, every t_i < m_i keeps D and N - t_i positive). At
+    depth 1 the polynomial bound is the integral of the tail from N - 1.
+    s1 = 1 at unit modulus has none.
     """
+    if cutoff <= p.depth:
+        return math.inf
     s1, t1 = p.s[0], float(p.t[0])
     d = cutoff - 1 - t1
-    if d <= 0:
-        return math.inf
     inner, rate, growth = 1.0, 0.0, 0.0
-    for si, ti in zip(p.s[1:], p.t[1:]):
-        ti = float(ti)
-        if cutoff <= ti + 1:
-            return math.inf
-        base = max(1, math.floor(ti) + 1) - ti
+    for i in range(1, p.depth):
+        si, ti = p.s[i], float(p.t[i])
+        base = p.depth - i - ti
         if si == 1:
             b = 1 / base + math.log((cutoff - ti) / base)
         else:
@@ -331,10 +329,10 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     noise = 100 * (p.weight + 2 * p.depth) * _EPS  # 100 x the rounding term
     # the plain rounding term per unit of summed |column| also covers an
     # exact shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
-    # by at most s_i / (m_i - t_i), m_i = max(1, floor(t_i) + 1)
+    # by at most s_i / gap_i, the gap from t_i to its level's least index
     ulps = (p.weight + 2 * p.depth) * _EPS + sum(
-        si * math.ulp(tf) / 2 / (max(1, math.floor(tf) + 1) - tf)
-        for si, ti in zip(p.s, p.t) if (tf := float(ti)) != ti)
+        si * math.ulp(tf) / 2 / g for si, ti, g in zip(p.s, p.t, gaps)
+        if (tf := float(ti)) != ti)
     previous = plain = fit = None  # plain and fit: (value, error estimate)
     settled = False
     for cutoff, (head, tail, last, mass) in zip(cutoffs,

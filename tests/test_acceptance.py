@@ -14,14 +14,14 @@ from fractions import Fraction as F
 from math import comb
 
 from oracles import rational_grid, single_sum_oracle
-from polyzeta.hopf import (TensorPolynomial, antipode, antipode_recursive,
-                           check_antipode, check_bialgebra, coproduct, counit,
+from polyzeta.hopf import (antipode, antipode_recursive, check_antipode,
+                           check_bialgebra, coproduct, counit,
                            default_alphabet)
 from polyzeta.numeric import (EvalConfig, check_prop_M, eval_di,
                               verify_relation)
 from polyzeta.products import Bracket, PRODUCTS, star
-from polyzeta.words import (EMPTY_WORD, MonoidLetter, Polynomial,
-                            Word, word, x, y)
+from polyzeta.words import (EMPTY_WORD, Combination, MonoidLetter,
+                            Polynomial, Word, word, x, y)
 from polyzeta.zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
                            encode, shuffle_expand, tbar, tbar_inverse)
 
@@ -161,9 +161,9 @@ def _coalgebra_axioms(alphabet, maxlen):
             # structure identity for every letter prefix
             for a in alphabet:
                 grown = coproduct(w.prepended(a))
-                built = (TensorPolynomial({(u.prepended(a), v): c
-                                           for (u, v), c in cop.terms.items()})
-                         + TensorPolynomial({(EMPTY_WORD, w.prepended(a)): 1}))
+                built = (Combination({(u.prepended(a), v): c
+                                      for (u, v), c in cop.terms.items()})
+                         + Combination({(EMPTY_WORD, w.prepended(a)): 1}))
                 assert grown == built
 
 

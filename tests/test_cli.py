@@ -208,6 +208,17 @@ def test_eval_deep_shift_stays_unconverged_at_a_small_nmax(capsys):
     assert payload["error"] is not None and 0 < payload["error"] < math.inf
 
 
+def test_eval_inner_level_just_below_its_least_index(capsys):
+    # t2 = 1 - 2^-53 is just below level 2's least index 2, where the
+    # column is finite: exit 0, converged
+    code, out, _ = run(capsys, "eval", "--params", json.dumps(
+        {"s": [2, 20, 2], "xi": [1, 1, 1], "t": [0, 0.9999999999999999, 0]}))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert abs(payload["value"]["re"] - 0.394934405278166) < 1e-10
+
+
 def test_verify_tol_zero_is_judged_on_the_residual(capsys):
     code, out, _ = run(capsys, "verify", "--mode", "shuffle",
                        "--left", ZETA2, "--right", ZETA2, "--tol", "0")
