@@ -16,17 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .products import Bracket, _star_words, star
+from .products import Bracket, _star_words
 from .words import (EMPTY_WORD, Combination, Letter, MonoidLetter,
-                    PairLetter, Polynomial, Word, x, y)
+                    PairLetter, Polynomial, Word, _canonical, _word, x, y)
 
 
 def coproduct(w: Union[Word, Polynomial]) -> Combination:
     """Sum of the splittings u (x) v, uv = w, as (u, v) word pairs, extended
     linearly to polynomials; (u, v) determines uv, so none collide."""
     terms = w.terms.items() if isinstance(w, Polynomial) else ((w, 1),)
-    return Combination._raw({(wd[:i], wd[i:]): c for wd, c in terms
-                             for i in range(len(wd) + 1)})
+    return Combination._raw({(_word(wd._ids[:i]), _word(wd._ids[i:])): c
+                             for wd, c in terms for i in range(len(wd) + 1)})
 
 
 def counit(s: Union[Word, Polynomial]):
@@ -98,8 +98,9 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
         if res is None:
             res = memo[prefix] = Polynomial(itertools.chain(
                 ((prefix, -1),),
-                ((u, -c) for k in range(1, m)
-                 for u, c in star(br, prefixes[k], prefix[k:]))))
+                ((t, -c * d) for k in range(1, m)
+                 for u, c in prefixes[k].terms.items()
+                 for t, d in _star_words(br, u, prefix[k:]).items())))
         prefixes.append(res)
     return prefixes[-1]
 
@@ -158,24 +159,30 @@ def check_bialgebra(br: Bracket, maxlen: int,
     not tested here: a non-associative bracket shows up in
     ``check_antipode``."""
     by_len = _sample(br, maxlen, alphabet)
+    # each word's splittings, for this call only: product terms repeat
+    splits = {w: cop.terms for words in by_len for w, cop in words}
     checked = 0
     for total in range(maxlen + 1):
         for n1 in range(total + 1):
             for w1, cop1 in by_len[n1]:
                 for w2, cop2 in by_len[total - n1]:
-                    prod = star(br, w1, w2)
+                    prod = _star_words(br, w1, w2)
                     checked += 1
-                    if prod != star(br, w2, w1):
+                    if prod != _star_words(br, w2, w1):
                         return CheckReport(
                             "bialgebra-commutativity", False, checked,
                             {"left": w1, "right": w2})
-                    # (u (x) v)(u' (x) v') = (u * u') (x) (v * v')
-                    cops = Combination(
-                        ((a, b), c1 * c2 * ca * cb)
-                        for (u1, u2), c1 in cop1 for (v1, v2), c2 in cop2
-                        for a, ca in _star_words(br, u1, v1).items()
-                        for b, cb in _star_words(br, u2, v2).items())
-                    if cops != coproduct(prod):
+                    # (u (x) v)(u' (x) v') = (u * u') (x) (v * v'), and a
+                    # word's splittings have unit coefficients
+                    cops = _canonical(
+                        ((a, b), ca * cb) for (u1, u2), (v1, v2)
+                        in itertools.product(cop1.terms, cop2.terms)
+                        for (a, ca), (b, cb) in itertools.product(
+                            _star_words(br, u1, v1).items(),
+                            _star_words(br, u2, v2).items()))
+                    if cops != {uv: c for wd, c in prod.items() for uv in (
+                            splits.get(wd) or splits.setdefault(
+                                wd, coproduct(wd).terms))}:
                         return CheckReport(
                             "bialgebra-compatibility", False, checked,
                             {"left": w1, "right": w2})
@@ -192,11 +199,13 @@ def check_antipode(br: Bracket, maxlen: int,
     checked = 0
     for n, words in enumerate(_sample(br, maxlen, alphabet)):
         for w, cop in words:
-            expect = Polynomial.one() if n == 0 else Polynomial.zero()
-            left = Polynomial(term for u, v in cop.terms
-                              for term in star(br, antipode(br, u), v))
-            right = Polynomial(term for u, v in cop.terms
-                               for term in star(br, u, antipode(br, v)))
+            expect = {EMPTY_WORD: 1} if n == 0 else {}
+            left = _canonical((t, c * d) for u, v in cop.terms
+                              for a, c in antipode(br, u).terms.items()
+                              for t, d in _star_words(br, a, v).items())
+            right = _canonical((t, c * d) for u, v in cop.terms
+                               for a, c in antipode(br, v).terms.items()
+                               for t, d in _star_words(br, u, a).items())
             checked += 1
             if left != expect:
                 return CheckReport("antipode-left", False, checked, {"word": w})

@@ -75,8 +75,9 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
     reaches and that it lacks, last suffixes (children) first."""
-    us = [u[i:] for i in range(len(u) + 1)]
-    vs = [v[j:] for j in range(len(v) + 1)]
+    us = [_word(u._ids[i:]) for i in range(len(u) + 1)]
+    vs = [_word(v._ids[j:]) for j in range(len(v) + 1)]
+    lu, lv = u.letters, v.letters
 
     def entry(i, j):
         key = (us[i], vs[j])
@@ -89,7 +90,7 @@ def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
         for j in reversed(range(len(v))):
             if (us[i], vs[j]) in memo:
                 continue
-            pair = br.apply(u[i], v[j])
+            pair = br.apply(lu[i], lv[j])
             parts = [(entry(i + 1, j), u._ids[i], 1),
                      (entry(i, j + 1), v._ids[j], 1)]
             if pair is not None:

@@ -209,6 +209,44 @@ def test_a_product_off_the_coproduct_fails_compatibility(monkeypatch):
         {"left": EMPTY_WORD, "right": word(y(1), y(1))})
 
 
+def test_a_product_off_the_antipode_fails_the_right_convolution(monkeypatch):
+    # over (y1, y2) only the antipodes carry letters of index > 2, so
+    # doubling u * v for such v changes only the right-hand side
+    # sum u * a(v); y1 y2 is the first word where a(v) has one
+    plain = polyzeta.products._star_words
+
+    def doubled(br, u, v):
+        terms = plain(br, u, v)
+        if all(letter.index <= 2 for letter in v):
+            return terms
+        return {w: 2 * c for w, c in terms.items()}
+
+    for module in (polyzeta.products, polyzeta.hopf):
+        monkeypatch.setattr(module, "_star_words", doubled)
+    assert check_antipode(Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds), 3,
+                          (y(1), y(2))) == CheckReport(
+        "antipode-right", False, 5, {"word": word(y(1), y(2))})
+
+
+# (bialgebra, antipode) cases at max length 4 on the default alphabet of
+# k letters: every pair with |w1| + |w2| = t <= 4, (t + 1) k^t of them, and
+# every word, k^n of length n <= 4
+CASES_AT_4 = {"shuffle": (129, 31), "stuffle": (547, 121),
+              "minusstuffle": (547, 121), "duffle": (547, 121),
+              "mulstuffle": (1593, 341)}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_checks_visit_every_case(name):
+    br = fresh(PRODUCTS[name])
+    k = len(default_alphabet(br))
+    pairs, words = CASES_AT_4[name]
+    assert pairs == sum((t + 1) * k**t for t in range(5))
+    assert words == sum(k**n for n in range(5))
+    assert check_bialgebra(br, 4) == CheckReport("bialgebra", True, pairs)
+    assert check_antipode(br, 4) == CheckReport("antipode", True, words)
+
+
 def test_non_associative_bracket_is_caught_by_the_antipode_check():
     # commutative, but [[a,b],c] = 4a + 4b + 2c and [a,[b,c]] = 2a + 4b + 4c;
     # check_bialgebra does not test associativity, check_antipode fails
