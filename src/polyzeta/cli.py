@@ -11,6 +11,7 @@ check or exceeded residual, 2 usage or parse errors, 3 domain errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -49,54 +50,45 @@ def _load_json(arg: str):
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built at its first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="polyzeta",
         description="Shuffle-family word products, Hopf checks, series "
                     "encodings and numeric verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    choices = {"--product": sorted(PRODUCTS), "--mode": tuple(_EXPANSIONS)}
 
-    p = sub.add_parser("expand", help="product of two words")
-    p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
-    p.add_argument("--left", required=True, help="word JSON or @file")
-    p.add_argument("--right", required=True, help="word JSON or @file")
+    def command(name: str, about: str, kind: str, *flags: str):
+        """Subparser with required flags, each a choice or ``kind`` JSON."""
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            if flag in choices:
+                p.add_argument(flag, required=True, choices=choices[flag])
+            else:
+                p.add_argument(flag, required=True, help=f"{kind} JSON or @file")
+        return p
 
-    p = sub.add_parser("antipode", help="antipode of a word")
-    p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
-    p.add_argument("--word", required=True, help="word JSON or @file")
-
-    p = sub.add_parser("hopf-check",
-                       help="exhaustive bialgebra and antipode axiom checks")
-    p.add_argument("--product", required=True, choices=sorted(PRODUCTS))
+    command("expand", "product of two words", "word",
+            "--product", "--left", "--right")
+    command("antipode", "antipode of a word", "word", "--product", "--word")
+    p = command("hopf-check", "exhaustive bialgebra and antipode axiom checks",
+                "", "--product")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--alphabet", help="letters JSON or @file (list of letters)")
-
-    p = sub.add_parser("encode", help="parameters -> encoded word")
-    p.add_argument("--params", required=True, help="params JSON or @file")
-
-    p = sub.add_parser("decode", help="encoded word -> parameters")
-    p.add_argument("--word", required=True, help="word JSON or @file")
-
-    p = sub.add_parser("zeta-expand",
-                       help="symbolic expansion of a product of two series")
-    p.add_argument("--mode", required=True, choices=tuple(_EXPANSIONS))
-    p.add_argument("--left", required=True, help="params JSON or @file")
-    p.add_argument("--right", required=True, help="params JSON or @file")
-
-    p = sub.add_parser("eval", help="numerically evaluate one series")
-    p.add_argument("--params", required=True, help="params JSON or @file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-
-    p = sub.add_parser("verify",
-                       help="expand then numerically verify the identity")
-    p.add_argument("--mode", required=True, choices=tuple(_EXPANSIONS))
-    p.add_argument("--left", required=True, help="params JSON or @file")
-    p.add_argument("--right", required=True, help="params JSON or @file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual threshold (default: propagated budget)")
-    p.add_argument("--nmax", type=int, default=None)
-
+    command("encode", "parameters -> encoded word", "params", "--params")
+    command("decode", "encoded word -> parameters", "word", "--word")
+    command("zeta-expand", "symbolic expansion of a product of two series",
+            "params", "--mode", "--left", "--right")
+    for name, about, flags, tol_help in (
+            ("eval", "numerically evaluate one series", ("--params",), None),
+            ("verify", "expand then numerically verify the identity",
+             ("--mode", "--left", "--right"),
+             "residual threshold (default: propagated budget)")):
+        p = command(name, about, "params", *flags)
+        p.add_argument("--tol", type=float, help=tol_help)
+        p.add_argument("--nmax", type=int)
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "pretty"),
                        default="json", help="output format (default json)")
@@ -147,12 +139,6 @@ def _run(args: argparse.Namespace) -> tuple[int, Callable, Callable]:
         p = decode(word_from_json(_load_json(args.word)))
         return EXIT_OK, lambda: params_to_json(p), p.pretty
 
-    if args.command == "zeta-expand":
-        left = params_from_json(_load_json(args.left))
-        right = params_from_json(_load_json(args.right))
-        lc = _EXPANSIONS[args.mode](left, right)
-        return EXIT_OK, lambda: lincomb_to_json(lc), lc.pretty
-
     if args.command == "eval":
         p = params_from_json(_load_json(args.params))
         res = eval_di(p, _make_config(args.nmax, args.tol))
@@ -162,10 +148,12 @@ def _run(args: argparse.Namespace) -> tuple[int, Callable, Callable]:
                     f"error ~ {res.error_estimate:.3g}  n = {res.n_used}  "
                     f"converged = {res.converged}"))
 
-    if args.command == "verify":
+    if args.command in ("zeta-expand", "verify"):
         left = params_from_json(_load_json(args.left))
         right = params_from_json(_load_json(args.right))
         lc = _EXPANSIONS[args.mode](left, right)
+        if args.command == "zeta-expand":
+            return EXIT_OK, lambda: lincomb_to_json(lc), lc.pretty
         # evaluate noticeably tighter than a positive residual threshold
         eval_tol = min(1e-10, args.tol / 100) if (args.tol or 0) > 0 else None
         cfg = _make_config(args.nmax, eval_tol)

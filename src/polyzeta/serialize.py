@@ -56,7 +56,10 @@ def scalar_from_json(data):
             raise ParseError(f"bad rational {data!r}") from exc
     if isinstance(data, dict):
         if "re" in data or "im" in data:
-            return complex(data.get("re", 0.0), data.get("im", 0.0))
+            parts = (data.get("re", 0.0), data.get("im", 0.0))
+            if not all(type(v) in (int, float) for v in parts):
+                raise ParseError(f"bad complex {data!r}")
+            return complex(*parts)
         if type(data.get("q")) is int and type(data.get("n")) is int:
             mag = scalar_from_json(data["mag"]) if "mag" in data else 1
             try:

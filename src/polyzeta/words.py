@@ -199,11 +199,6 @@ class Word:
     def __reduce__(self):
         return Word, (self.letters,)
 
-    def __copy__(self, memo=None) -> "Word":
-        return self
-
-    __deepcopy__ = __copy__
-
     @property
     def letters(self) -> tuple:
         return tuple(map(_LETTERS.__getitem__, self._ids))

@@ -220,8 +220,8 @@ def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
     first = p.t[0]
     if any(ti != first for ti in p.t[1:]):
         raise DiagonalError(
-            f"shift tuple {p.t!r} is not constant; the contraction "
-            "expansion needs one common diagonal shift")
+            f"shift tuple ({', '.join(map(str, p.t))}) is not constant; the "
+            "contraction expansion needs one common diagonal shift")
     return first
 
 
@@ -233,7 +233,7 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
     tq = _diagonal_shift(q)
     if tp is not None and tq is not None and tp != tq:
         raise DiagonalError(
-            f"shifts differ between factors ({tp!r} vs {tq!r})")
+            f"shifts differ between factors ({tp} vs {tq})")
     t = tp if tp is not None else tq
     if p.depth == 0:
         return LinComb.monomial(q)

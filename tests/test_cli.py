@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -507,3 +508,83 @@ def test_only_the_requested_format_is_built(capsys, monkeypatch, command,
     monkeypatch.setattr(cli, "_run", traced_run)
     code, out, err = run(capsys, command, *COMMANDS[command], "--format", fmt)
     assert (code, err, built) == (0, "", [fmt]) and out.strip()
+
+
+@pytest.mark.parametrize("color, message", (
+    ({"re": True, "im": 0}, "bad complex"), ({"im": True}, "bad complex"),
+    ({"re": "1", "im": 0}, "bad complex"), ({"re": None}, "bad complex"),
+    ({"re": [1], "im": 0}, "bad complex"),
+    ({"re": 0.5, "im": False}, "bad complex"),
+    ({"q": 1, "n": 0}, "bad exact color"),
+    ({"q": 1, "n": 3, "mag": 0}, "bad exact color"),
+    ({"q": 0, "n": 1, "mag": 0}, "bad exact color")),
+    ids=("bool-re", "bool-im-alone", "string-re", "null-re", "list-re",
+         "bool-im", "order-zero", "magnitude-zero", "real-magnitude-zero"))
+def test_malformed_color_is_a_usage_error(capsys, color, message):
+    # complex parts must be JSON numbers, as booleans are not scalars
+    params = json.dumps({"s": [2], "xi": [color], "t": [0]})
+    code, out, err = run(capsys, "eval", "--params", params)
+    assert (code, out, err) == (2, "", f"error: {message} {color!r}\n")
+
+
+@pytest.mark.parametrize("left, right, message", (
+    ('{"s": [2, 2], "xi": [1, 1], "t": ["1/2", 0]}', HALF,
+     "shift tuple (1/2, 0) is not constant; the contraction expansion "
+     "needs one common diagonal shift"),
+    ('{"s": [2], "xi": [1], "t": [0.25]}', '{"s": [2], "xi": [1], "t": ["1/3"]}',
+     "shifts differ between factors (0.25 vs 1/3)")),
+    ids=("not-constant", "differ-between-factors"))
+@pytest.mark.parametrize("command", ("zeta-expand", "verify"))
+def test_diagonal_errors_print_shifts_as_written(capsys, command, left,
+                                                 right, message):
+    code, out, err = run(capsys, command, "--mode", "duffle",
+                         "--left", left, "--right", right)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize("argv, expected", (
+    (("expand", "--product", "mulstuffle",
+      "--left", '[{"kind": "monoid", "value": "-2/3"}]',
+      "--right", '[{"kind": "monoid", "value": {"q": 1, "n": 3}}]'),
+     "x_{2/3*e^(2*pi*i*5/6)} + x_{-2/3}x_{1*e^(2*pi*i*1/3)} "
+     "+ x_{1*e^(2*pi*i*1/3)}x_{-2/3}\n"),
+    (("antipode", "--product", "duffle", "--word",
+      '[{"kind": "pair", "index": 1, "value": "1/2"}, '
+      '{"kind": "pair", "index": 2, "value": {"q": 1, "n": 3}}]'),
+     "(y₃,e_{1/2*e^(2*pi*i*1/3)}) + (y₂,e_{1*e^(2*pi*i*1/3)})(y₁,e_{1/2})\n"),
+), ids=("monoid-letters", "pair-letters"))
+def test_monoid_and_pair_letters_pretty(capsys, argv, expected):
+    assert run(capsys, *argv, "--format", "pretty") == (0, expected, "")
+
+
+FLAGS = {
+    "expand": {"--product", "--left", "--right"},
+    "antipode": {"--product", "--word"},
+    "hopf-check": {"--product", "--max-len", "--alphabet"},
+    "encode": {"--params"},
+    "decode": {"--word"},
+    "zeta-expand": {"--mode", "--left", "--right"},
+    "eval": {"--params", "--tol", "--nmax"},
+    "verify": {"--mode", "--left", "--right", "--tol", "--nmax"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_help_lists_exactly_its_flags(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: polyzeta {command} [-h]")
+    assert set(re.findall(r"--[a-z-]+", out)) == (
+        FLAGS[command] | {"--help", "--format"})
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    assert run(capsys, "encode", "--params", HALF)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second call built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(capsys, "encode", "--params", HALF)[0] == 0
+    assert run(capsys, "frobnicate")[0] == 2

@@ -31,6 +31,18 @@ def test_partial_M_edge_cases():
     assert partial_M(3, (1,), (1,), HARMONIC) == F(3, 2)
 
 
+def test_partial_M_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="equal lengths"):
+        partial_M(5, (2, 1), (1,), HARMONIC)
+
+
+def test_exact_colors_refuse_order_zero_and_magnitude_zero():
+    with pytest.raises(ValueError, match="root order must be positive"):
+        root_of_unity(1, 0)
+    with pytest.raises(ValueError, match="colors are nonzero"):
+        exact_color(0)
+
+
 def test_partial_M_against_bruteforce():
     rng = random.Random(23)
     for _ in range(60):
