@@ -16,8 +16,8 @@ from .scalars import ExactColor, exact_color, root_of_unity
 from .words import (EMPTY_WORD, Combination, Indexed, Letter, MonoidLetter,
                     PairLetter, Polynomial, Word, X0, XForm, concat, word, x,
                     y)
-from .zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
-                   duffle_index, encode, shuffle_expand, tbar, tbar_inverse)
+from .zeta import (LinComb, PolyzetaParams, decode, duffle_expand, encode,
+                   shuffle_expand, tbar, tbar_inverse)
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "ShapeError", "VerifyReport", "Word", "X0", "XForm", "antipode",
     "antipode_recursive", "check_antipode", "check_bialgebra", "check_prop_M",
     "concat", "coproduct", "counit", "decode", "default_alphabet", "duffle",
-    "duffle_expand", "duffle_index", "encode", "eval_di", "exact_color",
-    "minus_stuffle", "mulstuffle", "partial_M", "root_of_unity", "shuffle",
-    "shuffle_expand", "star", "stuffle", "tbar", "tbar_inverse",
-    "verify_relation", "word", "x", "y",
+    "duffle_expand", "encode", "eval_di", "exact_color", "minus_stuffle",
+    "mulstuffle", "partial_M", "root_of_unity", "shuffle", "shuffle_expand",
+    "star", "stuffle", "tbar", "tbar_inverse", "verify_relation", "word", "x",
+    "y",
 ]

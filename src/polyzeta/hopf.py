@@ -146,6 +146,8 @@ def _sample(br: Bracket, maxlen: int, alphabet: Optional[Sequence[Letter]]):
         raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     if alphabet is None:
         alphabet = default_alphabet(br)
+    if not alphabet:  # the unit word alone would pass every check
+        raise ValueError("the sample alphabet must not be empty")
     return [[(w, coproduct(w)) for w in map(Word, itertools.product(
         alphabet, repeat=n))] for n in range(maxlen + 1)]
 

@@ -7,7 +7,7 @@
 by a depth-wise prefix dynamic program in O(n*r) ring operations; it works
 verbatim over exact scalars (Fractions) and over floats. ``check_prop_M``
 verifies, exactly, that a product of two partial sums equals the partial
-sum over the contraction-product expansion at every finite cutoff.
+sum over the terms of ``duffle_expand`` at every finite cutoff.
 
 ``eval_di`` evaluates a convergent parameter set by running the same
 dynamic program with per-level weights 1/(k - t_i) and doubling the cutoff
@@ -35,7 +35,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .errors import DivergenceError
 from .scalars import cumulative, float_or_complex, root_order
-from .zeta import LinComb, PolyzetaParams, duffle_index
+from .zeta import LinComb, PolyzetaParams, duffle_expand
 
 _EPS = sys.float_info.epsilon
 _FIT_RATIO = 1.25  # spacing of the extrapolation cutoffs
@@ -131,14 +131,14 @@ def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], objec
 def check_prop_M(s: Sequence[int], xi: Sequence, r: Sequence[int],
                  rho: Sequence, n: int, lam: Callable[[int], object]) -> bool:
     """Exact finite form of the contraction identity: the product of two
-    partial sums equals the combined partial sum over every term of the
-    contraction expansion, at every cutoff."""
-    s, xi, r, rho = tuple(s), tuple(xi), tuple(r), tuple(rho)
-    lhs = partial_M(n, s, xi, lam) * partial_M(n, r, rho, lam)
-    rhs = 0
-    for (ts, txi), coeff in duffle_index(s, xi, r, rho):
-        rhs = rhs + coeff * partial_M(n, ts, txi, lam)
-    return lhs == rhs
+    partial sums equals the combined partial sum over every term of
+    ``duffle_expand``, at every cutoff."""
+    # the diagonal shift 0 only names the expansion: lam carries the shift
+    p = PolyzetaParams.of(s, xi, (0,) * len(s))
+    q = PolyzetaParams.of(r, rho, (0,) * len(r))
+    rhs = sum(coeff * partial_M(n, term.s, term.xi, lam)
+              for term, coeff in duffle_expand(p, q))
+    return partial_M(n, p.s, p.xi, lam) * partial_M(n, q.s, q.xi, lam) == rhs
 
 
 def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]

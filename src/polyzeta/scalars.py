@@ -130,7 +130,12 @@ def color_sort_key(value: Color) -> tuple:
 
 
 def check_color(c: Color) -> None:
-    """Refuses a color that is zero or not finite."""
+    """Refuses a color that is not a ``Color`` (a bool is not one), is zero
+    or is not finite."""
+    if (type(c) is bool
+            or not isinstance(c, (int, Fraction, float, complex, ExactColor))):
+        raise ValueError(
+            f"colors must be int, Fraction, float, complex or ExactColor, got {c!r}")
     if c == 0:
         raise ValueError("colors must be nonzero")
     scalar_tag(c)

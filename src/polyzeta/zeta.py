@@ -193,27 +193,6 @@ def shuffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
                    for wd, c in star(SHUFFLE, encode(p), encode(q)))
 
 
-def duffle_index(s: tuple[int, ...], xi: tuple[Color, ...],
-                 r: tuple[int, ...], rho: tuple[Color, ...]) -> LinComb:
-    """The contraction product on (composition, colors) pairs:
-
-        (s1,s; x1,x) . (r1,r; p1,p) =
-              (s1; x1) . (s,x  *  r1,r; p1,p)
-            + (r1; p1) . (s1,s; x1,x  *  r,p)
-            + (s1+r1; x1*p1) . (s,x  *  r,p)
-
-    with the empty pair as unit. This is the duffle product on words of
-    paired letters (s_i, xi_i); terms are read back as (s, xi) tuples.
-    """
-    if len(s) != len(xi) or len(r) != len(rho):
-        raise ValueError("composition and color tuple lengths must match")
-    product = star(DUFFLE, Word(map(PairLetter, s, xi)),
-                   Word(map(PairLetter, r, rho)))
-    # words that differ only in value type read back as one term: merge
-    return LinComb(((tuple(l.index for l in w), tuple(l.value for l in w)), c)
-                   for w, c in product)
-
-
 def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
     if p.depth == 0:
         return None
@@ -227,8 +206,17 @@ def _diagonal_shift(p: PolyzetaParams) -> Optional[Real]:
 
 def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
     """Expand the product of two series sharing one diagonal shift t
-    through the contraction product on (s, xi) pairs; every output term
-    carries the diagonal shift tuple of its own depth."""
+    through the contraction product on (s, xi) pairs:
+
+        (s1,s; x1,x) . (r1,r; p1,p) =
+              (s1; x1) . (s,x  *  r1,r; p1,p)
+            + (r1; p1) . (s1,s; x1,x  *  r,p)
+            + (s1+r1; x1*p1) . (s,x  *  r,p)
+
+    with the empty pair as unit. This is the duffle product on words of
+    paired letters (s_i, xi_i); each product word reads back as the term
+    with the diagonal shift tuple of its own depth. Words that differ only
+    in value type read back as one term, whose coefficient is their sum."""
     tp = _diagonal_shift(p)
     tq = _diagonal_shift(q)
     if tp is not None and tq is not None and tp != tq:
@@ -239,5 +227,8 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
         return LinComb.monomial(q)
     if q.depth == 0:
         return LinComb.monomial(p)
-    return LinComb((PolyzetaParams(ts, txi, (t,) * len(ts)), c)
-                   for (ts, txi), c in duffle_index(p.s, p.xi, q.s, q.xi))
+    product = star(DUFFLE, Word(map(PairLetter, p.s, p.xi)),
+                   Word(map(PairLetter, q.s, q.xi)))
+    return LinComb((PolyzetaParams(tuple(l.index for l in w),
+                                   tuple(l.value for l in w), (t,) * len(w)),
+                    c) for w, c in product)

@@ -13,7 +13,10 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from math import comb
 
+import pytest
+
 from oracles import rational_grid, single_sum_oracle
+from polyzeta import zeta
 from polyzeta.hopf import (antipode, antipode_recursive, check_antipode,
                            check_bialgebra, coproduct, counit,
                            default_alphabet)
@@ -21,9 +24,10 @@ from polyzeta.numeric import (EvalConfig, check_prop_M, eval_di,
                               verify_relation)
 from polyzeta.products import Bracket, PRODUCTS, star
 from polyzeta.words import (EMPTY_WORD, Combination, MonoidLetter,
-                            Polynomial, Word, word, x, y)
+                            PairLetter, Polynomial, Word, word, x, y)
 from polyzeta.zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
                            encode, shuffle_expand, tbar, tbar_inverse)
+from relations import D_W, double_shuffle_quotient
 
 
 @contextmanager
@@ -313,3 +317,35 @@ def test_criterion_9_property_suites():
             p = PolyzetaParams.of(s, xi, t)
             assert decode(encode(p)) == p
             assert tbar_inverse(tbar(p.t)) == p.t
+
+
+def test_criterion_10_double_shuffle_reaches_d_w():
+    with criterion(10, "finite double shuffle with Hoffman's relation: "
+                       "quotient d_w = 1,1,2,2,3,4,5 at w = 3..9, over Q",
+                   5.0):
+        got = {w: double_shuffle_quotient(w) for w in D_W}
+        assert got == D_W
+
+
+def _mutant_duffle(monkeypatch, fn):
+    monkeypatch.setattr(zeta, "DUFFLE", Bracket("mutant", fn, ("pair",)))
+
+
+def test_criterion_10_fails_on_doubled_equal_letter_contraction(monkeypatch):
+    def doubled(a, b):
+        return (2 if a == b else 1,
+                PairLetter(a.index + b.index, a.value * b.value))
+
+    _mutant_duffle(monkeypatch, doubled)
+    got = [double_shuffle_quotient(w) for w in range(3, 9)]
+    assert got == [1, 1, 2, 1, 0, 0]
+    assert got != [D_W[w] for w in range(3, 9)]
+
+
+def test_criterion_10_raises_on_index_sum_off_by_one(monkeypatch):
+    def off_by_one(a, b):
+        return (1, PairLetter(a.index + b.index + 1, a.value * b.value))
+
+    _mutant_duffle(monkeypatch, off_by_one)
+    with pytest.raises(ValueError, match=r"Z\(s=\(4\); .* weight 3"):
+        double_shuffle_quotient(3)

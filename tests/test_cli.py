@@ -87,6 +87,11 @@ def test_hopf_check_success_and_failure(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "alphabet must be a list" in err
 
+    code, out, err = run(capsys, "hopf-check", "--product", "shuffle",
+                         "--alphabet", "[]")
+    assert code == 2 and out == ""
+    assert err == "error: the sample alphabet must not be empty\n"
+
 
 def test_encode_decode_round_trip(capsys):
     params = {"s": [2, 3], "xi": ["1/2", "1/3"], "t": ["1/5", 0]}

@@ -29,6 +29,12 @@ def test_coproduct_splittings():
     assert len(coproduct(word(x(0), x(0), x(1))).terms) == 4
 
 
+def test_coproduct_sorts_its_splits_shortest_prefix_first():
+    w = word(x(0), x(1), x(0))
+    assert [u for (u, _), _ in coproduct(w).sorted_terms()] == [
+        w[:i] for i in range(4)]
+
+
 def test_coproduct_lemma_identity():
     # coproduct(aw) = (a (x) 1) coproduct(w) + 1 (x) aw
     for letters in itertools.product((x(0), x(1)), repeat=3):
@@ -160,6 +166,13 @@ def test_antipode_axiom_hand_example():
 def test_check_antipode_empty_word_case():
     rep = check_antipode(STUFFLE, 0)
     assert rep.ok and rep.checked == 1
+
+
+def test_checks_refuse_an_empty_alphabet():
+    # the unit word alone passes every check: no case over letters is made
+    for check in (check_bialgebra, check_antipode):
+        with pytest.raises(ValueError, match="alphabet must not be empty"):
+            check(SHUFFLE, 3, ())
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))

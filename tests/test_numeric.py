@@ -43,6 +43,13 @@ def test_exact_colors_refuse_order_zero_and_magnitude_zero():
         exact_color(0)
 
 
+def test_exact_color_negation_and_powers():
+    # -1 is half a turn; a power multiplies the turns and raises the modulus
+    assert -root_of_unity(1, 3) == root_of_unity(5, 6)
+    assert root_of_unity(1, 4) ** -1 == root_of_unity(3, 4)
+    assert exact_color(F(1, 2), F(1, 3)) ** 2 == exact_color(F(1, 4), F(2, 3))
+
+
 def test_partial_M_against_bruteforce():
     rng = random.Random(23)
     for _ in range(60):

@@ -13,8 +13,7 @@ from polyzeta.products import DUFFLE
 from polyzeta.scalars import root_of_unity
 from polyzeta.words import PairLetter, Word, X0, XForm, word
 from polyzeta.zeta import (LinComb, PolyzetaParams, decode, duffle_expand,
-                           duffle_index, encode, shuffle_expand, tbar,
-                           tbar_inverse)
+                           encode, shuffle_expand, tbar, tbar_inverse)
 
 
 def P(s, xi, t):
@@ -63,6 +62,9 @@ def test_params_pickle_round_trip():
     # a shift is a real within float range
     ((1,), (root_of_unity(1, 3),)), ((1,), (complex(0.5, 1),)),
     ((1,), (True,)), ((1,), (10**400,)), ((1,), (F(-10**400),)),
+    # a color is a number, and a bool is not one
+    (("a",), (0,)), ((None,), (0,)), (((1, 2),), (0,)), ((b"x",), (0,)),
+    ((True,), (0,)),
 ))
 def test_params_reject_non_finite_scalars(xi, t):
     with pytest.raises(ValueError):
@@ -295,9 +297,9 @@ def test_duffle_expand_merges_identical_terms():
     })
 
 
-def test_duffle_index_matches_word_level_product():
-    # the index <-> word correspondence turns the tuple product into the
-    # paired-alphabet product, expanded here by the enumeration oracle
+def test_duffle_expand_matches_word_level_product():
+    # the (s, xi) <-> paired-word correspondence turns the expansion into
+    # the paired-alphabet product, expanded here by the enumeration oracle
     rng = random.Random(9)
     for _ in range(30):
         l1, l2 = rng.randint(0, 3), rng.randint(0, 3)
@@ -307,11 +309,11 @@ def test_duffle_index_matches_word_level_product():
                    for _ in range(l1))
         rho = tuple(F(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 3)))
                     for _ in range(l2))
-        lhs = duffle_index(s, xi, r, rho)
+        lhs = duffle_expand(P(s, xi, (0,) * l1), P(r, rho, (0,) * l2))
         wl = Word(PairLetter(si, ci) for si, ci in zip(s, xi))
         wr = Word(PairLetter(ri, ci) for ri, ci in zip(r, rho))
         from_words = LinComb(
-            ((tuple(l.index for l in wd), tuple(l.value for l in wd)), c)
+            (P([l.index for l in wd], [l.value for l in wd], [0] * len(wd)), c)
             for wd, c in star_oracle(DUFFLE, wl, wr).items())
         assert lhs == from_words
 
@@ -319,19 +321,10 @@ def test_duffle_index_matches_word_level_product():
 @pytest.mark.parametrize("a, b", ((-1, -1.0), (1, F(1)), (F(1, 2), 0.5)))
 def test_duffle_merges_terms_equal_by_value(a, b):
     # the words (2,a)(2,b) and (2,b)(2,a) differ by value type but read back
-    # as one (s, xi) term, whose coefficient is their sum
-    got = duffle_index((2,), (a,), (2,), (b,))
-    assert len(got) == 2
-    assert got.coeff(((2, 2), (a, a))) == 2
-    assert got.coeff(((4,), (a * b,))) == 1
+    # as one term, whose coefficient is their sum
     t = F(0)
     assert duffle_expand(P((2,), (a,), (t,)), P((2,), (b,), (t,))) == LinComb({
         P((2, 2), (a, a), (t, t)): 2, P((4,), (a * b,), (t,)): 1})
-
-
-def test_duffle_index_length_mismatch():
-    with pytest.raises(ValueError):
-        duffle_index((1, 2), (F(1, 2),), (), ())
 
 
 @pytest.mark.parametrize("expand", (shuffle_expand, duffle_expand))
