@@ -9,8 +9,9 @@ letter)`` pair for a contraction; the recursion is
 
 extended bilinearly, with the empty word as unit. Each bracket memoizes its
 pairing on letter-id pairs and the expansions of word pairs, as the antipodes
-in ``hopf`` do. Words key on letter value and value type, so float and exact
-queries fill disjoint entries; the tables grow for the life of the process.
+in ``hopf`` do; an expansion computes only the suffix pairs its memo lacks.
+Words key on letter value and value type, so float and exact queries fill
+disjoint entries; the tables grow for the life of the process.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Optional, Union
 
 from .errors import AlphabetMismatchError
 from .scalars import in_range
-from .words import (Indexed, Letter, MonoidLetter, PairLetter, Polynomial,
-                    Word, _canonical, _word)
+from .words import (_LETTERS, Indexed, Letter, MonoidLetter, PairLetter,
+                    Polynomial, Word, _canonical, _word)
 
 BracketResult = Optional[tuple[object, Letter]]
 
@@ -74,10 +75,22 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
 
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
-    reaches and that it lacks, last suffixes (children) first."""
-    us = [_word(u._ids[i:]) for i in range(len(u) + 1)]
-    vs = [_word(v._ids[j:]) for j in range(len(v) + 1)]
-    lu, lv = u.letters, v.letters
+    reaches and that it lacks, last suffixes (children) first. An entry is
+    written only after its children, so the lacking pairs form a staircase
+    anchored at (0, 0): row i lacks the columns j < ends[i], and ends[i]
+    never grows down the rows. The staircase is found from the top and
+    filled from the bottom; only the suffixes it touches are built."""
+    lu, lv = u._ids, v._ids
+    us, vs, ends, end = [u], [v], [], len(lv)
+    while end and len(ends) < len(lu):
+        row, limit, end = us[-1], end, 0
+        while end < limit and (row, vs[end]) not in memo:
+            end += 1
+            if end == len(vs):
+                vs.append(_word(lv[end:]))
+        if end:
+            ends.append(end)
+            us.append(_word(lu[len(ends):]))
 
     def entry(i, j):
         key = (us[i], vs[j])
@@ -86,13 +99,10 @@ def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
             hit = memo[key] = {us[i] + vs[j]: 1}
         return hit
 
-    for i in reversed(range(len(u))):
-        for j in reversed(range(len(v))):
-            if (us[i], vs[j]) in memo:
-                continue
-            pair = br.apply(lu[i], lv[j])
-            parts = [(entry(i + 1, j), u._ids[i], 1),
-                     (entry(i, j + 1), v._ids[j], 1)]
+    for i in reversed(range(len(ends))):
+        for j in reversed(range(ends[i])):
+            pair = br.apply(_LETTERS[lu[i]], _LETTERS[lv[j]])
+            parts = [(entry(i + 1, j), lu[i], 1), (entry(i, j + 1), lv[j], 1)]
             if pair is not None:
                 parts.append((entry(i + 1, j + 1), pair[1]._id, pair[0]))
             memo[us[i], vs[j]] = _canonical(

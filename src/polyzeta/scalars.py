@@ -129,14 +129,14 @@ def color_sort_key(value: Color) -> tuple:
     return (2, z.real, z.imag, 0, 1)
 
 
-def check_color(c: Color) -> None:
+def check_color(c: Color, zero: bool = False) -> None:
     """Refuses a color that is not a ``Color`` (a bool is not one), is zero
-    or is not finite."""
+    (unless ``zero``, as a letter's monoid value may be) or is not finite."""
     if (type(c) is bool
             or not isinstance(c, (int, Fraction, float, complex, ExactColor))):
         raise ValueError(
             f"colors must be int, Fraction, float, complex or ExactColor, got {c!r}")
-    if c == 0:
+    if c == 0 and not zero:
         raise ValueError("colors must be nonzero")
     scalar_tag(c)
 

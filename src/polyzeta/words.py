@@ -103,6 +103,9 @@ class MonoidLetter(_Letter):
     value: object
     kind = "monoid"
 
+    def _check(self):
+        check_color(self.value, zero=True)
+
     def pretty(self) -> str:
         return "x" + _subscript(self.value)
 
@@ -123,6 +126,7 @@ class PairLetter(_Letter):
         i = self.index
         if type(i) is not int or i < 1:
             raise ValueError(f"pair index must be an integer >= 1, got {i!r}")
+        check_color(self.value, zero=True)
 
     def pretty(self) -> str:
         return "(y%s,e%s)" % (_subscript(self.index), _subscript(self.value))

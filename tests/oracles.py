@@ -9,8 +9,10 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import factorial, fsum, prod
 
+from polyzeta import products
+from polyzeta.hopf import CheckReport, _sample, coproduct
 from polyzeta.products import SHUFFLE, Bracket, star
-from polyzeta.words import Polynomial, Word
+from polyzeta.words import Polynomial, Word, _canonical
 
 
 def star_oracle(br: Bracket, u: Word, v: Word) -> dict:
@@ -62,6 +64,40 @@ def antipode_composition_sum(br: Bracket, w: Word) -> dict:
 
     extend({Word(): 1}, 0, 1)
     return {v: c for v, c in out.items() if c != 0}
+
+
+def check_bialgebra_ordered(br: Bracket, maxlen: int, alphabet=None):
+    """``hopf.check_bialgebra`` comparing the coproducts of every ordered
+    pair (w1, w2), mirrored ones included, in the library's order of
+    cases. Reads ``products._star_words`` when called, so a test that
+    patches it patches this reference too."""
+    star_words = products._star_words
+    by_len = _sample(br, maxlen, alphabet)
+    splits = {w: cop.terms for words in by_len for w, cop in words}
+    checked = 0
+    for total in range(maxlen + 1):
+        for n1 in range(total + 1):
+            for w1, cop1 in by_len[n1]:
+                for w2, cop2 in by_len[total - n1]:
+                    w12 = star_words(br, w1, w2)
+                    checked += 1
+                    if w12 != star_words(br, w2, w1):
+                        return CheckReport(
+                            "bialgebra-commutativity", False, checked,
+                            {"left": w1, "right": w2})
+                    cops = _canonical(
+                        ((a, b), ca * cb) for (u1, u2), (v1, v2)
+                        in product(cop1.terms, cop2.terms)
+                        for (a, ca), (b, cb) in product(
+                            star_words(br, u1, v1).items(),
+                            star_words(br, u2, v2).items()))
+                    if cops != {uv: c for wd, c in w12.items() for uv in (
+                            splits.get(wd) or splits.setdefault(
+                                wd, coproduct(wd).terms))}:
+                        return CheckReport(
+                            "bialgebra-compatibility", False, checked,
+                            {"left": w1, "right": w2})
+    return CheckReport("bialgebra", True, checked)
 
 
 def brute_M(n: int, s, xi, lam):

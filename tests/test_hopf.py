@@ -6,7 +6,7 @@ import pytest
 
 import polyzeta.hopf
 import polyzeta.products
-from oracles import antipode_composition_sum
+from oracles import antipode_composition_sum, check_bialgebra_ordered
 from polyzeta.hopf import (CheckReport, antipode, antipode_recursive,
                            check_antipode, check_bialgebra, coproduct,
                            counit, default_alphabet)
@@ -194,12 +194,15 @@ def test_non_symmetric_bracket_is_caught():
     assert not rep.ok
     assert rep.status == "counterexample"
     assert set(rep.counterexample) == {"left", "right"}
+    assert rep == check_bialgebra_ordered(fresh(bad_bracket), 3, (y(1), y(2)))
     # [a, b] = a keeps the coproduct compatibility of y1 * y1 and fails
     # commutativity at y1 * y2
     leftproj = Bracket("leftproj", lambda a, b: (1, a), ("indexed",))
-    assert check_bialgebra(leftproj, 4, (y(1), y(2))) == CheckReport(
+    rep = check_bialgebra(leftproj, 4, (y(1), y(2)))
+    assert rep == CheckReport(
         "bialgebra-commutativity", False, 11,
         {"left": word(y(1)), "right": word(y(2))})
+    assert rep == check_bialgebra_ordered(fresh(leftproj), 4, (y(1), y(2)))
 
 
 def test_a_product_off_the_coproduct_fails_compatibility(monkeypatch):
@@ -217,9 +220,34 @@ def test_a_product_off_the_coproduct_fails_compatibility(monkeypatch):
 
     for module in (polyzeta.products, polyzeta.hopf):
         monkeypatch.setattr(module, "_star_words", doubled)
-    assert check_bialgebra(STUFFLE, 3, (y(1), y(2))) == CheckReport(
+    rep = check_bialgebra(STUFFLE, 3, (y(1), y(2)))
+    assert rep == CheckReport(
         "bialgebra-compatibility", False, 6,
         {"left": EMPTY_WORD, "right": word(y(1), y(1))})
+    assert rep == check_bialgebra_ordered(fresh(STUFFLE), 3, (y(1), y(2)))
+
+
+def test_a_product_off_the_coproduct_on_squares_fails_compatibility(
+        monkeypatch):
+    # doubling only the squares w * w of nonempty words keeps the product
+    # commutative; the first failure is the diagonal pair (y1, y1), where
+    # y1 (x) y1 comes twice from 1 * y1 and y1 * 1 but four times from
+    # the doubled y1 * y1
+    plain = polyzeta.products._star_words
+
+    def doubled(br, u, v):
+        terms = plain(br, u, v)
+        if u != v or not u:
+            return terms
+        return {w: 2 * c for w, c in terms.items()}
+
+    for module in (polyzeta.products, polyzeta.hopf):
+        monkeypatch.setattr(module, "_star_words", doubled)
+    rep = check_bialgebra(fresh(STUFFLE), 3, (y(1), y(2)))
+    assert rep == CheckReport(
+        "bialgebra-compatibility", False, 10,
+        {"left": word(y(1)), "right": word(y(1))})
+    assert rep == check_bialgebra_ordered(fresh(STUFFLE), 3, (y(1), y(2)))
 
 
 def test_a_product_off_the_antipode_fails_the_right_convolution(monkeypatch):
@@ -267,7 +295,8 @@ def test_non_associative_bracket_is_caught_by_the_antipode_check():
         1, Indexed(2 * a.index + 2 * b.index, a.family)), kinds=("indexed",))
     alphabet = (y(1), y(2))
     assert check_bialgebra(twice, 4, alphabet) == CheckReport(
-        "bialgebra", True, 129)
+        "bialgebra", True, 129) == check_bialgebra_ordered(
+            fresh(twice), 4, alphabet)
     assert check_antipode(twice, 4, alphabet) == CheckReport(
         "antipode-left", False, 9, {"word": word(y(1), y(1), y(2))})
 
@@ -371,3 +400,33 @@ def test_arithmetic_leaves_memoized_results_unchanged(compute):
 def test_checks_refuse_negative_length_bound(check):
     with pytest.raises(ValueError):
         check(STUFFLE, -1)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_check_bialgebra_matches_the_ordered_reference(name):
+    br = PRODUCTS[name]
+    assert check_bialgebra(fresh(br), 5) == check_bialgebra_ordered(
+        fresh(br), 5)
+
+
+def test_check_bialgebra_matches_the_ordered_reference_on_random_tables():
+    # a symmetric table passes commutativity, so every case reaches the
+    # coproduct comparison; most tables are not associative and fail the
+    # antipode check, which runs first to leave a partly filled memo
+    rng = random.Random(23)
+    letters = (y(1), y(2), y(3))
+    antipode_axioms = set()
+    for _ in range(30):
+        table = {}
+        for a, b in itertools.combinations_with_replacement(letters, 2):
+            table[a, b] = table[b, a] = None if rng.random() < 0.3 else (
+                rng.choice((1, -1, 2)), rng.choice(letters))
+
+        def fn(a, b, table=table):
+            return table[a, b]
+
+        warm = Bracket("table", fn, ("indexed",))
+        antipode_axioms.add(check_antipode(warm, 3, letters).axiom)
+        assert check_bialgebra(warm, 4, letters) == check_bialgebra_ordered(
+            Bracket("table", fn, ("indexed",)), 4, letters)
+    assert antipode_axioms == {"antipode", "antipode-left"}

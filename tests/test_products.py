@@ -310,6 +310,24 @@ def test_expansion_fills_the_memo_entries_of_the_recursion():
             assert set(br._star_memo) == keys
 
 
+def test_an_interrupted_expansion_leaves_a_consistent_memo():
+    # the suffix pair (y1, y2) is filled before x1 * y2 fails, so the
+    # memo holds a pair whose parent (x1 y1, y2) is missing
+    br = Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds)
+    with pytest.raises(AlphabetMismatchError):
+        star(br, word(x(1), y(1)), word(y(2)))
+    assert (word(y(1)), word(y(2))) in br._star_memo
+    assert (word(x(1), y(1)), word(y(2))) not in br._star_memo
+    for u, v in ((word(y(1)), word(y(2))),
+                 (word(y(3), y(1)), word(y(2))),
+                 (word(y(2), y(1)), word(y(1), y(2))),
+                 (word(y(1), y(1)), word(y(2), y(2))),
+                 (word(y(3), y(2), y(1)), word(y(1), y(2)))):
+        fresh = Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds)
+        assert star(br, u, v).terms == star_oracle(br, u, v)
+        assert star(br, u, v) == star(fresh, u, v)
+
+
 def test_bracket_memoizes_its_pairing_on_letter_ids():
     calls = []
 

@@ -53,8 +53,8 @@ def mutant_expand(target: str, replacement: str):
 
 
 LONG = "(2 if len(u) - i + len(v) - j >= 6 else 1)"
-DOUBLED_LEFT_PREPEND = ("(entry(i + 1, j), u._ids[i], 1)",
-                        f"(entry(i + 1, j), u._ids[i], {LONG})")
+DOUBLED_LEFT_PREPEND = ("(entry(i + 1, j), lu[i], 1)",
+                        f"(entry(i + 1, j), lu[i], {LONG})")
 DOUBLED_CONTRACTION = ("pair[1]._id, pair[0])",
                        f"pair[1]._id, pair[0] * {LONG})")
 

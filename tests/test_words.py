@@ -34,10 +34,14 @@ def test_letter_invariants():
                      lambda v: XForm(v, 0), lambda v: XForm(1, v)):
             with pytest.raises(ValueError):
                 make(bad)
-    # a color is a number, and a bool is not one
+    # a color or a letter's monoid value is a number, and a bool is not one
     for bad in ("a", None, (1, 2), b"x", True):
-        with pytest.raises(ValueError):
-            XForm(bad, 0)
+        for make in (MonoidLetter, lambda v: PairLetter(1, v),
+                     lambda v: XForm(v, 0)):
+            with pytest.raises(ValueError):
+                make(bad)
+    # a monoid value may be 0, as an additive exponent
+    assert MonoidLetter(0).value == PairLetter(1, 0).value == 0
     # a shift difference is a real within float range
     for bad in (root_of_unity(1, 3), complex(0.5, 1), True, 10**400,
                 F(-10**400)):
