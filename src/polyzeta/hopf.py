@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .products import Bracket, _star_words
-from .words import (EMPTY_WORD, Combination, Letter, MonoidLetter,
-                    PairLetter, Polynomial, Word, _canonical, _word, x, y)
+from .words import (EMPTY_WORD, Combination, Letter, MonoidLetter, PairLetter,
+                    Polynomial, Word, _canonical_blocks, _word, x, y)
 
 
 def coproduct(w: Union[Word, Polynomial]) -> Combination:
@@ -57,6 +57,7 @@ def antipode(br: Bracket, w: Word) -> Polynomial:
     hit = memo.get(w)
     if hit is not None:
         return hit
+    br.check_kinds(w.kind)
     letters = w.letters
     prefixes = [Polynomial.one()]
     for m in range(1, len(letters) + 1):
@@ -96,11 +97,10 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
         prefix = w[:m]
         res = memo.get(prefix)
         if res is None:
-            res = memo[prefix] = Polynomial(itertools.chain(
-                ((prefix, -1),),
-                ((t, -c * d) for k in range(1, m)
-                 for u, c in prefixes[k].terms.items()
-                 for t, d in _star_words(br, u, prefix[k:]).items())))
+            res = memo[prefix] = Polynomial._raw(_canonical_blocks(
+                itertools.chain((({prefix: 1}, -1),), (
+                    (_star_words(br, u, prefix[k:]), -c) for k in range(1, m)
+                    for u, c in prefixes[k].terms.items()))))
         prefixes.append(res)
     return prefixes[-1]
 
@@ -148,6 +148,9 @@ def _sample(br: Bracket, maxlen: int, alphabet: Optional[Sequence[Letter]]):
         alphabet = default_alphabet(br)
     if not alphabet:  # the unit word alone would pass every check
         raise ValueError("the sample alphabet must not be empty")
+    if len({a._id for a in alphabet}) < len(alphabet):  # cases would repeat
+        raise ValueError("the sample alphabet must not repeat a letter")
+    br.check_kinds(*{a.kind for a in alphabet})
     return [[(w, coproduct(w)) for w in map(Word, itertools.product(
         alphabet, repeat=n))] for n in range(maxlen + 1)]
 
@@ -182,12 +185,10 @@ def check_bialgebra(br: Bracket, maxlen: int,
                         continue
                     # (u (x) v)(u' (x) v') = (u * u') (x) (v * v'), and a
                     # word's splittings have unit coefficients
-                    cops = _canonical(
-                        ((a, b), ca * cb) for (u1, u2), (v1, v2)
-                        in itertools.product(cop1.terms, cop2.terms)
-                        for (a, ca), (b, cb) in itertools.product(
-                            _star_words(br, u1, v1).items(),
-                            _star_words(br, u2, v2).items()))
+                    cops = _canonical_blocks(
+                        (_star_words(br, u1, v1), _star_words(br, u2, v2))
+                        for (u1, u2), (v1, v2)
+                        in itertools.product(cop1.terms, cop2.terms))
                     if cops != {uv: c for wd, c in prod.items() for uv in (
                             splits.get(wd) or splits.setdefault(
                                 wd, coproduct(wd).terms))}:
@@ -208,12 +209,12 @@ def check_antipode(br: Bracket, maxlen: int,
     for n, words in enumerate(_sample(br, maxlen, alphabet)):
         for w, cop in words:
             expect = {EMPTY_WORD: 1} if n == 0 else {}
-            left = _canonical((t, c * d) for u, v in cop.terms
-                              for a, c in antipode(br, u).terms.items()
-                              for t, d in _star_words(br, a, v).items())
-            right = _canonical((t, c * d) for u, v in cop.terms
-                               for a, c in antipode(br, v).terms.items()
-                               for t, d in _star_words(br, u, a).items())
+            left = _canonical_blocks(
+                (_star_words(br, a, v), c) for u, v in cop.terms
+                for a, c in antipode(br, u).terms.items())
+            right = _canonical_blocks(
+                (_star_words(br, u, a), c) for u, v in cop.terms
+                for a, c in antipode(br, v).terms.items())
             checked += 1
             if left != expect:
                 return CheckReport("antipode-left", False, checked, {"word": w})

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 from .errors import AlphabetMismatchError
 from .scalars import in_range
 from .words import (_LETTERS, Indexed, Letter, MonoidLetter, PairLetter,
-                    Polynomial, Word, _canonical, _word)
+                    Polynomial, Word, _canonical, _canonical_blocks, _word)
 
 BracketResult = Optional[tuple[object, Letter]]
 
@@ -51,16 +51,20 @@ class Bracket:
         key = (a._id, b._id)
         if key in self._table:
             return self._table[key]
-        for kind in (a.kind, b.kind):
-            if self.kinds is not None and kind not in self.kinds:
-                raise AlphabetMismatchError(
-                    f"bracket {self.name!r} is undefined on {kind!r} letters")
+        self.check_kinds(a.kind, b.kind)
         res = self.fn(a, b)
         if res is not None and res[1].kind != a.kind:
             raise AlphabetMismatchError(
                 f"bracket {self.name!r} leaves the {a.kind!r} alphabet")
         self._table[key] = res
         return res
+
+    def check_kinds(self, *kinds) -> None:
+        """Refuse a kind outside ``kinds``; the unit word's (None) passes."""
+        for kind in kinds:
+            if self.kinds is not None and kind not in (None, *self.kinds):
+                raise AlphabetMismatchError(
+                    f"bracket {self.name!r} is undefined on {kind!r} letters")
 
     def __repr__(self) -> str:
         return f"Bracket({self.name!r})"
@@ -73,54 +77,64 @@ def _star_words(br: Bracket, u: Word, v: Word) -> dict:
     return hit if hit is not None else _expand(br._star_memo, br, u, v)
 
 
+def _entry(memo: dict, u: Word, v: Word) -> dict:
+    hit = memo.get((u, v))  # only a pair with a unit factor is missing here
+    return hit if hit is not None else memo.setdefault((u, v), {u + v: 1})
+
+
 def _expand(memo: dict, br: Bracket, u: Word, v: Word) -> dict:
     """Fill ``memo`` at the suffix pairs (u[i:], v[j:]) that the recursion
     reaches and that it lacks, last suffixes (children) first. An entry is
     written only after its children, so the lacking pairs form a staircase
     anchored at (0, 0): row i lacks the columns j < ends[i], and ends[i]
-    never grows down the rows. The staircase is found from the top and
-    filled from the bottom; only the suffixes it touches are built."""
+    never grows down the rows. It is the one cell (u, v) when the children
+    are present, is found from the top otherwise, and is filled from the
+    bottom; only the suffixes it touches are built."""
     lu, lv = u._ids, v._ids
-    us, vs, ends, end = [u], [v], [], len(lv)
+    if not (lu and lv):
+        return _entry(memo, u, v)
+    us, vs, ends, end = [u, _word(lu[1:])], [v, _word(lv[1:])], [], len(lv)
+    if (len(lu) == 1 or (us[1], v) in memo) and (
+            len(lv) == 1 or (u, vs[1]) in memo):
+        ends, end = [1], 0
     while end and len(ends) < len(lu):
-        row, limit, end = us[-1], end, 0
+        row, limit, end = us[len(ends)], end, 0
         while end < limit and (row, vs[end]) not in memo:
             end += 1
             if end == len(vs):
                 vs.append(_word(lv[end:]))
         if end:
             ends.append(end)
-            us.append(_word(lu[len(ends):]))
-
-    def entry(i, j):
-        key = (us[i], vs[j])
-        hit = memo.get(key)
-        if hit is None:  # only a pair with a unit factor is missing here
-            hit = memo[key] = {us[i] + vs[j]: 1}
-        return hit
+            if len(ends) == len(us):
+                us.append(_word(lu[len(ends):]))
 
     for i in reversed(range(len(ends))):
         for j in reversed(range(ends[i])):
-            pair = br.apply(_LETTERS[lu[i]], _LETTERS[lv[j]])
-            parts = [(entry(i + 1, j), lu[i], 1), (entry(i, j + 1), lv[j], 1)]
+            a, b = _LETTERS[lu[i]], _LETTERS[lv[j]]
+            pair = br.apply(a, b)
+            parts = [(_entry(memo, us[i + 1], vs[j]), a, 1),
+                     (_entry(memo, us[i], vs[j + 1]), b, 1)]
             if pair is not None:
-                parts.append((entry(i + 1, j + 1), pair[1]._id, pair[0]))
+                parts.append((_entry(memo, us[i + 1], vs[j + 1]),
+                              pair[1], pair[0]))
             memo[us[i], vs[j]] = _canonical(
-                (_word((head,) + w._ids), factor * c)
+                (w.prepended(head), factor * c)
                 for terms, head, factor in parts for w, c in terms.items())
-    return entry(0, 0)
+    return _entry(memo, u, v)
 
 
 def star(br: Bracket, left: Union[Word, Polynomial], right: Union[Word, Polynomial]) -> Polynomial:
     """The bracket-selected product, extended bilinearly to polynomials.
     On two words the result shares its terms with the memo."""
     if isinstance(left, Word) and isinstance(right, Word):
+        br.check_kinds(left.kind, right.kind)
         return Polynomial._raw(_star_words(br, left, right))
     lt = left.terms if isinstance(left, Polynomial) else {left: 1}
     rt = right.terms if isinstance(right, Polynomial) else {right: 1}
-    return Polynomial((w, cu * cv * c) for u, cu in lt.items()
-                      for v, cv in rt.items()
-                      for w, c in _star_words(br, u, v).items())
+    br.check_kinds(*{w.kind for w in (*lt, *rt)})
+    return Polynomial._raw(_canonical_blocks(
+        (_star_words(br, u, v), cu * cv) for u, cu in lt.items()
+        for v, cv in rt.items()))
 
 
 def _zero_bracket(a: Letter, b: Letter) -> BracketResult:

@@ -192,10 +192,11 @@ class Word:
     Words are hash-consed: equality is identity, by letter value and value
     type (and the sign of a float zero), so a memo keyed on words never
     hands one query's scalar types to another. A word of two kinds is
-    refused where every word is first made, in ``_word``.
+    refused where every word is first made, in ``_word``. Each word keeps
+    its prepend edges (head letter id -> word) for ``prepended``.
     """
 
-    __slots__ = ("_ids",)
+    __slots__ = ("_ids", "_heads")
 
     def __new__(cls, letters: Iterable[Letter] = ()):
         return _word(tuple(letter._id for letter in letters))
@@ -231,7 +232,10 @@ class Word:
         return "Word(%s)" % (list(self.letters),)
 
     def prepended(self, letter: Letter) -> "Word":
-        return _word((letter._id,) + self._ids)
+        w = self._heads.get(letter._id)
+        if w is None:  # racing threads store the same interned word
+            w = self._heads[letter._id] = _word((letter._id,) + self._ids)
+        return w
 
     def sort_key(self) -> tuple:
         return (len(self._ids), tuple(l.sort_key() for l in self))
@@ -252,7 +256,7 @@ def _word(ids: tuple) -> Word:
         if len(kinds) > 1:
             raise AlphabetMismatchError(f"word mixes kinds {sorted(kinds)}")
         w = object.__new__(Word)
-        w._ids = ids
+        w._ids, w._heads = ids, {}
         w = _WORDS.setdefault(ids, w)
     return w
 
@@ -272,11 +276,36 @@ def concat(u: Word, v: Word) -> Word:
 def _canonical(items) -> dict:
     """Sum ``(key, coefficient)`` pairs in one pass: equal keys add, keys
     keep the order in which they first appear, and zero sums are dropped
-    at the end. Every combination is summed here."""
+    at the end. Every combination is summed here or in its block form."""
     out: dict = {}
     for key, c in items:
         prev = out.get(key)
         out[key] = c if prev is None else prev + c
+    return _nonzero(out)
+
+
+def _canonical_blocks(blocks) -> dict:
+    """``_canonical`` of the pairs of each block in order, read straight
+    from its dicts, one dict step per term: ``(terms, scale)`` holds
+    (key, scale * c) for key, c in terms, and ``(left, right)``, two
+    dicts, their tensor product ((a, b), ca * cb), row by row."""
+    out: dict = {}
+    for terms, scale in blocks:
+        if type(scale) is dict:
+            right = scale.items()
+            for a, ca in terms.items():
+                for b, cb in right:
+                    key = a, b
+                    prev = out.get(key)
+                    out[key] = ca * cb if prev is None else prev + ca * cb
+        else:
+            for key, c in terms.items():
+                prev = out.get(key)
+                out[key] = scale * c if prev is None else prev + scale * c
+    return _nonzero(out)
+
+
+def _nonzero(out: dict) -> dict:
     if 0 in out.values():  # rebuilding rehashes every key, which may be slow
         out = {k: c for k, c in out.items() if c != 0}
     return out

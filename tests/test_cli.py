@@ -92,6 +92,11 @@ def test_hopf_check_success_and_failure(capsys):
     assert code == 2 and out == ""
     assert err == "error: the sample alphabet must not be empty\n"
 
+    code, out, err = run(capsys, "hopf-check", "--product", "stuffle",
+                         "--max-len", "3", "--alphabet", yw(1, 1))
+    assert code == 2 and out == ""
+    assert err == "error: the sample alphabet must not repeat a letter\n"
+
 
 def test_encode_decode_round_trip(capsys):
     params = {"s": [2, 3], "xi": ["1/2", "1/3"], "t": ["1/5", 0]}
@@ -261,6 +266,19 @@ def test_exit_code_3_on_domain_errors(capsys):
     code, _, err = run(capsys, "expand", "--product", "stuffle",
                        "--left", left, "--right", yw(2))
     assert code == 3
+    # a short input of another kind, where the bracket is never applied
+    x0 = json.dumps([{"kind": "x0"}])
+    for argv in (("hopf-check", "--product", "stuffle", "--max-len", "0",
+                  "--alphabet", x0),
+                 ("hopf-check", "--product", "stuffle", "--max-len", "1",
+                  "--alphabet", x0),
+                 ("antipode", "--product", "stuffle", "--word", x0),
+                 ("expand", "--product", "duffle", "--left", yw(1),
+                  "--right", "[]")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert re.fullmatch(
+            r"error: bracket '\w+' is undefined on '\w+' letters\n", err)
     # divergent evaluation
     params = {"s": [1], "xi": [1], "t": [0]}
     code, _, err = run(capsys, "eval", "--params", json.dumps(params))

@@ -12,8 +12,10 @@ from polyzeta.hopf import (CheckReport, antipode, antipode_recursive,
                            counit, default_alphabet)
 from polyzeta.products import (DUFFLE, MULSTUFFLE, PRODUCTS, SHUFFLE,
                                STUFFLE, Bracket, star)
-from polyzeta.words import (EMPTY_WORD, Combination, Indexed, MonoidLetter,
-                            PairLetter, Polynomial, Word, word, x, y)
+from polyzeta.errors import AlphabetMismatchError
+from polyzeta.words import (EMPTY_WORD, X0, Combination, Indexed,
+                            MonoidLetter, PairLetter, Polynomial, Word, word,
+                            x, y)
 
 Y12 = word(y(1), y(2))
 
@@ -173,6 +175,34 @@ def test_checks_refuse_an_empty_alphabet():
     for check in (check_bialgebra, check_antipode):
         with pytest.raises(ValueError, match="alphabet must not be empty"):
             check(SHUFFLE, 3, ())
+
+
+@pytest.mark.parametrize("maxlen", (0, 1, 2))
+@pytest.mark.parametrize("check", (check_bialgebra, check_antipode))
+def test_checks_refuse_an_alphabet_of_another_kind_at_every_length(check,
+                                                                    maxlen):
+    # at max length 0 and 1 the bracket is never applied to two letters
+    with pytest.raises(AlphabetMismatchError, match="undefined on 'encoded'"):
+        check(Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds), maxlen, (X0(),))
+
+
+def test_checks_refuse_a_repeated_letter():
+    # (y1, y1) would count each case of (y1,) several times
+    for check in (check_bialgebra, check_antipode):
+        with pytest.raises(ValueError, match="must not repeat a letter"):
+            check(STUFFLE, 3, (y(1), y(2), y(1)))
+    # letters equal in value but not in type are distinct letters
+    assert check_antipode(MULSTUFFLE, 2, (MonoidLetter(1),
+                                          MonoidLetter(F(1)))).ok
+
+
+def test_antipode_refuses_a_word_of_another_kind_however_short():
+    br = Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds)
+    for w in (word(X0()), word(MonoidLetter(2), MonoidLetter(3))):
+        with pytest.raises(AlphabetMismatchError, match="undefined on"):
+            antipode(br, w)
+    assert not br._antipode_memo
+    assert antipode(br, EMPTY_WORD) == Polynomial.one()
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))

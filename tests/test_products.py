@@ -310,6 +310,41 @@ def test_expansion_fills_the_memo_entries_of_the_recursion():
             assert set(br._star_memo) == keys
 
 
+def test_fill_order_leaves_the_same_memo_entries():
+    # by ascending total length nearly every query fills one cell; in the
+    # reverse order each query fills the whole staircase below it
+    rng = random.Random(24)
+    for name in sorted(PRODUCTS):
+        base = PRODUCTS[name]
+        letters = default_alphabet(base)[:2]
+        queries = sorted(
+            ((Word(rng.choice(letters) for _ in range(rng.randint(0, 4))),
+              Word(rng.choice(letters) for _ in range(rng.randint(0, 4))))
+             for _ in range(40)), key=lambda q: len(q[0]) + len(q[1]))
+        memos = []
+        for order in (queries, queries[::-1]):
+            br = Bracket(base.name, base.fn, base.kinds)
+            for u, v in order:
+                assert star(br, u, v).terms == star_oracle(br, u, v)
+            memos.append(br._star_memo)
+        first, second = memos
+        assert first.keys() == second.keys()
+        assert all(list(first[k].items()) == list(second[k].items())
+                   for k in first)
+
+
+def test_star_refuses_a_word_of_another_kind_however_short():
+    # the pairing is never applied when a factor is the unit word
+    for left, right in ((word(y(1)), EMPTY_WORD), (EMPTY_WORD, word(y(1))),
+                        (Polynomial.monomial(word(y(1))), Polynomial.one())):
+        br = Bracket("duffle", DUFFLE.fn, DUFFLE.kinds)
+        with pytest.raises(AlphabetMismatchError, match="undefined on"):
+            star(br, left, right)
+        assert not br._star_memo
+    assert star(SHUFFLE, word(y(1)), EMPTY_WORD) == Polynomial.monomial(
+        word(y(1)))
+
+
 def test_an_interrupted_expansion_leaves_a_consistent_memo():
     # the suffix pair (y1, y2) is filled before x1 * y2 fails, so the
     # memo holds a pair whose parent (x1 y1, y2) is missing

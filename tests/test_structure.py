@@ -53,10 +53,10 @@ def mutant_expand(target: str, replacement: str):
 
 
 LONG = "(2 if len(u) - i + len(v) - j >= 6 else 1)"
-DOUBLED_LEFT_PREPEND = ("(entry(i + 1, j), lu[i], 1)",
-                        f"(entry(i + 1, j), lu[i], {LONG})")
-DOUBLED_CONTRACTION = ("pair[1]._id, pair[0])",
-                       f"pair[1]._id, pair[0] * {LONG})")
+DOUBLED_LEFT_PREPEND = ("(_entry(memo, us[i + 1], vs[j]), a, 1)",
+                        f"(_entry(memo, us[i + 1], vs[j]), a, {LONG})")
+DOUBLED_CONTRACTION = ("pair[1], pair[0])",
+                       f"pair[1], pair[0] * {LONG})")
 
 
 def test_lyndon_factors():

@@ -1,12 +1,14 @@
 import copy
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction as F
 
 import pytest
 
+from polyzeta import words
 from polyzeta.errors import AlphabetMismatchError
 from polyzeta.hopf import coproduct
 from polyzeta.products import mulstuffle
@@ -200,7 +202,8 @@ def test_threads_build_identical_words():
         barrier.wait()
         built[slot] = [Word(MonoidLetter(F(k, 7919)) for k in range(r % 5 + 1))
                        for r in range(rounds)] + \
-            [Word([y(r + 100), y(r + 101)]) for r in range(rounds)]
+            [Word([y(r + 100), y(r + 101)]) for r in range(rounds)] + \
+            [word(y(r + 100)).prepended(y(r + 500)) for r in range(rounds)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -256,3 +259,35 @@ def test_combinations_copy_and_pickle():
             assert type(back) is type(q) and back == q
             # words compare by identity, so equal keys are the canonical ones
             assert list(back.terms) == list(q.terms)
+
+
+def test_prepended_is_the_interned_word():
+    for w in (EMPTY_WORD, word(x(1)), word(x(0), x(1), x(0))):
+        for a in (x(0), x(2), x(0)):  # the second x0 reads the stored edge
+            assert w.prepended(a) is words._word((a._id,) + w._ids)
+
+
+def test_block_sums_are_the_canonical_sums_of_their_pairs():
+    rng = random.Random(24)
+    keys = [word(y(i)) for i in range(1, 5)]
+
+    def terms():
+        return {k: rng.choice((-2, -1, 1, 2, F(1, 2)))
+                for k in rng.sample(keys, rng.randint(0, 3))}
+
+    for _ in range(300):
+        blocks, pairs = [], []
+        for _ in range(rng.randint(0, 4)):
+            left = terms()
+            if rng.random() < 0.5:
+                scale = rng.choice((-1, 1, 3, F(-1, 2), 0.5))
+                pairs += [(k, scale * c) for k, c in left.items()]
+                blocks.append((left, scale))
+            else:
+                right = terms()
+                pairs += [((a, b), ca * cb) for a, ca in left.items()
+                          for b, cb in right.items()]
+                blocks.append((left, right))
+        # same sums, zeros dropped, keys in order of first appearance
+        assert (list(words._canonical_blocks(blocks).items())
+                == list(words._canonical(pairs).items()))
