@@ -92,6 +92,7 @@ def antipode_recursive(br: Bracket, w: Word) -> Polynomial:
     hit = memo.get(w)
     if hit is not None:
         return hit
+    br.check_kinds(w.kind)
     prefixes = [Polynomial.one()]
     for m in range(1, len(w) + 1):
         prefix = w[:m]

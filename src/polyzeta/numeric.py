@@ -4,25 +4,19 @@
 
     M^n = sum over n > n1 > ... > nr > 0 of  prod_i  xi_i^(n_i) lam(n_i)^(s_i)
 
-by a depth-wise prefix dynamic program in O(n*r) ring operations; it works
-verbatim over exact scalars (Fractions) and over floats. ``check_prop_M``
-verifies, exactly, that a product of two partial sums equals the partial
-sum over the terms of ``duffle_expand`` at every finite cutoff.
+by a depth-wise prefix dynamic program in O(n*r) ring operations, over
+exact scalars or floats. ``check_prop_M`` verifies, exactly, that a product
+of two partial sums equals the sum over the terms of ``duffle_expand``.
 
-``eval_di`` evaluates a convergent parameter set by running the same
-dynamic program with per-level weights 1/(k - t_i) and doubling the cutoff
-until the increment plus a tail bound and the float rounding drops under
-tolerance. The tail bound holds at every depth: it bounds each inner level
-by what it can sum to. Where every cumulative color has modulus below 1,
-the sum also stops at cutoffs 8, 16, ... below the first one, once the
-bound shows that no later column can change the float value. At exact
-roots of unity it also extrapolates the partial sums at multiples of the
-lcm of the color orders, where every oscillating factor is 1, in the basis
-{1, N^-j log^k N}, and stops at whichever check passes.
-Internally the recursion is written in terms of *cumulative* colors, whose
-moduli stay <= 1 under the convergence hypothesis, so no intermediate
-quantity can overflow even when individual color ratios exceed 1. When all
-of them are real, the columns are summed in floats, to the same bits.
+``eval_di`` runs the same program in floats, on *cumulative* colors (their
+moduli stay <= 1, so nothing overflows) with weights 1/(k - t_i), and
+doubles the cutoff until the increment, a tail bound valid at every depth
+and the rounding fall under tolerance. Geometric sums may stop earlier, and
+sums at exact roots of unity also extrapolate (see ``eval_di``).
+
+Level i of a sum depends only on levels i..r, so ``verify_relation``
+evaluates p, q and every term in one joint pass in which terms sharing
+inner levels sum them once; ``check_prop_M`` does the same exactly.
 """
 
 from __future__ import annotations
@@ -30,17 +24,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from itertools import accumulate, repeat
+from operator import mul, truediv
+from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 from .errors import DivergenceError
-from .scalars import cumulative, float_or_complex, root_order
+from .scalars import cumulative, float_or_complex, root_order, scalar_tag
 from .zeta import LinComb, PolyzetaParams, duffle_expand
 
 _EPS = sys.float_info.epsilon
 _FIT_RATIO = 1.25  # spacing of the extrapolation cutoffs
 _FIT_MAX_ORDER = 6  # largest power of 1/N in the fit basis
 _FIT_ROWS = 13  # past 1 + J*depth = 13 the fit is too ill-conditioned
+_BLOCK = 1024  # most columns a trie node sums at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +91,59 @@ class TraceRow(NamedTuple):
     fit_gap: Optional[float]
 
 
+def _trie(paths: Sequence[Sequence[tuple]]) -> tuple[list, list]:
+    """Merge key paths, innermost level first, into the trie of their
+    shared suffixes: its nodes in depth-first preorder as (depth, key)
+    pairs (a parent is the last node one level up) and each path's nodes."""
+    index: dict = {}  # (parent, key) -> node, named by the ids on its route
+    routes = []
+    for path in paths:
+        route = [()]
+        for key in path:
+            route.append(index.setdefault((route[-1], key),
+                                          route[-1] + (len(index),)))
+        routes.append(route[1:])
+    order = sorted((node, key) for (_, key), node in index.items())
+    place = {node: i for i, (node, _) in enumerate(order)}
+    return ([(len(node) - 1, key) for node, key in order],
+            [[place[node] for node in route] for route in routes])
+
+
+def _partial_Ms(n: int, terms: Sequence[tuple], lam: Callable[[int], object]
+                ) -> list:
+    """``partial_M`` of every (s, xi) pair of ``terms`` in one pass: the
+    pairs share the levels of their common (c_i, s_i) suffixes, and every
+    column computes lam(k) once and lam(k)^s once per exponent s."""
+    if any(len(xi) != len(s) for s, xi in terms):
+        raise ValueError("s and xi must have equal lengths")
+    # below n = r + 1 no index tuple fits: such a pair sums nothing
+    nodes, routes = _trie([[(scalar_tag(c), c, si) for c, si in zip(
+        reversed(cumulative(xi)), reversed(s))] if len(s) < n else []
+        for s, xi in terms])
+    exponents = {key[2] for _, key in nodes}
+    # acc: level i's prefix sum feeding its column, or c_r^k at the innermost
+    acc = [0 if depth else 1 for depth, _ in nodes]
+    sums = {route[-1]: 0 for route in routes if route}
+    for k in range(1, n):
+        lv = lam(k)
+        power = {si: lv ** si for si in exponents}
+        path = []  # the columns of the current node's ancestors
+        for i, (depth, (_, c, si)) in enumerate(nodes):
+            del path[depth:]
+            a = acc[i]
+            if depth:
+                acc[i] = c * (a + path[-1])
+                h = a * power[si] if a != 0 else 0
+            else:
+                acc[i] = a = a * c
+                h = a * power[si]
+            path.append(h)
+            if i in sums:
+                sums[i] = sums[i] + h
+    return [sums[route[-1]] if route else 0 if s else 1
+            for route, (s, _) in zip(routes, terms)]
+
+
 def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], object]):
     """Exact partial sum below the cutoff ``n``.
 
@@ -103,103 +152,74 @@ def partial_M(n: int, s: Sequence[int], xi: Sequence, lam: Callable[[int], objec
     composition gives 1 for every n; a positive depth needs n > r to admit
     any index tuple.
     """
-    r = len(s)
-    if len(xi) != r:
-        raise ValueError("s and xi must have equal lengths")
-    if r == 0:
-        return 1
-    if n <= r:
-        return 0
-    cum = cumulative(xi)
-    # acc[i] (i < r-1) carries the geometrically weighted prefix sum feeding
-    # level i+1; acc[r-1] is the partial sum
-    acc = [0] * r
-    cpow = 1
-    levels = range(r - 2, -1, -1)
-    for k in range(1, n):
-        lv = lam(k)
-        cpow = cpow * cum[r - 1]
-        h = cpow * lv ** s[r - 1]
-        for i in levels:
-            a = acc[i]
-            acc[i] = cum[i] * (a + h)
-            h = a * lv ** s[i] if a != 0 else 0
-        acc[r - 1] = acc[r - 1] + h
-    return acc[r - 1]
+    return _partial_Ms(n, [(s, xi)], lam)[0]
 
 
 def check_prop_M(s: Sequence[int], xi: Sequence, r: Sequence[int],
                  rho: Sequence, n: int, lam: Callable[[int], object]) -> bool:
     """Exact finite form of the contraction identity: the product of two
     partial sums equals the combined partial sum over every term of
-    ``duffle_expand``, at every cutoff."""
+    ``duffle_expand``, at every cutoff. One pass sums every partial sum."""
     # the diagonal shift 0 only names the expansion: lam carries the shift
     p = PolyzetaParams.of(s, xi, (0,) * len(s))
     q = PolyzetaParams.of(r, rho, (0,) * len(r))
-    rhs = sum(coeff * partial_M(n, term.s, term.xi, lam)
-              for term, coeff in duffle_expand(p, q))
-    return partial_M(n, p.s, p.xi, lam) * partial_M(n, q.s, q.xi, lam) == rhs
+    terms = list(duffle_expand(p, q))
+    mp, mq, *ms = _partial_Ms(n, [(p.s, p.xi), (q.s, q.xi)]
+                              + [(term.s, term.xi) for term, _ in terms], lam)
+    return mp * mq == sum(coeff * m for (_, coeff), m in zip(terms, ms))
 
 
-def _partial_sums(p: PolyzetaParams, cutoffs: Iterable[int]
-                  ) -> Iterator[tuple[complex, complex, complex, float]]:
-    """Column-wise dynamic program for one parameter set; at each of the
-    increasing ``cutoffs`` it yields the partial sum below it as an
-    unsummed compensated pair (sum, correction), the last column and the
-    sum of |column| (the scale of the rounding error).
+def _sum_block(nodes: list, live: list, state: list, sums: dict,
+               start: int, stop: int) -> None:
+    """Add the columns start..stop-1 to every ``live`` node of the float
+    trie, node by node in preorder, with the block columns of one
+    root-to-leaf path alive at a time. Column k of the node of level i is
 
-    Column k contributes H_1(k), where
-
-        H_r(k) = c_r^k / (k - t_r)^(s_r)
-        H_i(k) = acc_i(k) / (k - t_i)^(s_i)
+        H_r(k) = c_r^k / (k - t_r)^(s_r)  at the innermost level r, else
+        H_i(k) = acc_i(k) / (k - t_i)^(s_i),
         acc_i(k) = sum over j < k of c_i^(k - j) H_(i+1)(j),
 
-    maintained incrementally via acc_i <- c_i (acc_i + H_(i+1)); acc_i is
-    exactly 0 below level i's least index r - i + 1, and so is H_i, even
-    where (k - t_i)^(s_i) is 0. All factors have modulus <= 1. Every
-    accumulator is a Neumaier-compensated pair (acc, comp), and so is the
-    partial sum, never rescaled. Real c_i run it all on floats, to the bits
-    complexes give: on imaginary parts 0 their operations are the float ones.
+    kept as c_r^k or as a Neumaier-compensated pair in ``state`` through
+    acc_i <- c_i (acc_i + H_(i+1)); acc_i, and so H_i, is exactly 0 below
+    level i's least index, even where (k - t_i)^(s_i) is 0. All factors
+    have modulus <= 1. ``sums`` holds, where a sum ends, its unscaled
+    compensated pair, its sum of |column| (the rounding scale) and its last
+    column. Real c_i run on floats, to the bits complexes give.
     """
-    c = float_or_complex(p.cumulative_colors())
-    s = p.s
-    t = [float(v) for v in p.t]
-    r = p.depth
-    zero = type(c[0])()
-    acc = [zero] * (r - 1)
-    comp = [zero] * (r - 1)
-    cr, sr, tr = c[r - 1], s[r - 1], t[r - 1]
-    levels = [(i, c[i], s[i], t[i]) for i in range(r - 2, -1, -1)]
-    cpow = 1 + zero
-    h = total = corr = zero
-    mass = 0.0
-    start = 1
-    for cutoff in cutoffs:
-        for k in range(start, cutoff):
-            cpow *= cr
-            h = cpow / (k - tr) ** sr
-            for i, ci, si, ti in levels:
-                a, e = acc[i], comp[i]
-                try:
-                    hi = (a + e) / (k - ti) ** si
-                except ZeroDivisionError:  # k = t_i, below the least index
-                    hi = zero
+    powers: dict = {}  # (s, t) -> (k - t)^s over the block
+    path: list = []
+    for i in live:
+        depth, (tag, c, s, t) = nodes[i]
+        pw = powers.get((s, t)) or powers.setdefault(
+            (s, t), [(k - t) ** s for k in range(start, stop)])
+        del path[depth:]
+        zero = tag[0]()
+        if state[i] is None:
+            state[i] = (zero, zero) if depth else 1 + zero
+        if depth:
+            a, e = state[i]
+            col = []
+            for h, f in zip(path[-1], pw):
+                col.append((a + e) / f if f else zero)  # f = 0: k = t_i
                 u = a + h
-                if abs(a) >= abs(h):
-                    comp[i] = (e + ((a - u) + h)) * ci
-                else:
-                    comp[i] = (e + ((h - u) + a)) * ci
-                acc[i] = u * ci
-                h = hi
-            u = total + h
-            if abs(total) >= abs(h):
-                corr += (total - u) + h
-            else:
-                corr += (h - u) + total
-            total = u
-            mass += abs(h)
-        start = cutoff
-        yield complex(total), complex(corr), complex(h), mass
+                e = (e + ((a - u) + h if abs(a) >= abs(h)
+                          else (h - u) + a)) * c
+                a = u * c
+            state[i] = a, e
+        else:
+            cpow = list(accumulate(repeat(c, stop - start), mul,
+                                   initial=state[i]))[1:]
+            state[i] = cpow[-1]
+            col = list(map(truediv, cpow, pw))
+        path.append(col)
+        if i in sums:
+            total, corr, mass, _ = sums[i] or (zero, zero, 0.0, None)
+            for h in col:
+                u, m = total + h, abs(h)
+                corr += (total - u) + h if abs(total) >= m else (h - u) + total
+                total = u
+                mass += m
+            sums[i] = total, corr, mass, h
 
 
 def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
@@ -272,71 +292,24 @@ def _extrapolate(rows: list, order: int, depth: int) -> complex:
     return head + (tail + a[-1][-1] / a[-1][-2])
 
 
-def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Evaluate a convergent parameter set by truncated summation.
-
-    The plain check doubles the cutoff from ``cfg.n_start`` and passes when
-    increment plus tail bound plus rounding is within tolerance. When every
-    cumulative color has modulus below 1 and ``n_start < n_max``, the
-    checkpoints 8, 16, ... below ``n_start`` come first. One of them counts
-    only once the tail bound is at most epsilon/2 times |partial sum|, so
-    that no later column can change the float value; its estimate is the
-    increment since the last row plus bound plus rounding. A sum settled in
-    that sense also stops, flagged unconverged, once its rounding term
-    alone exceeds the tolerance, which no later cutoff could meet. When
-    every cumulative color is an exact root of unity, rows at multiples of
-    their order lcm, spaced by about 1.25, feed a fit of order
-    J + 1 <= _FIT_MAX_ORDER on at most _FIT_ROWS rows. Its estimate is the
-    largest of its gap to the order-J fit and its last two changes from fit
-    to fit, plus 100 times the rounding term. The first check to pass gives
-    the result; at ``cfg.n_max`` the smaller estimate does, flagged
-    unconverged. Only this function refuses input: ``DivergenceError``
-    outside condition (e) or at s1 = 1, |xi_1| = 1, and ``OverflowError``
-    for a first column with no finite 1/(r - i + 1 - t_i)^s_i at some level.
-    """
-    if not (p.satisfies_condition_e() and p.is_convergent()):
-        raise DivergenceError(f"divergent term {p.pretty()} (needs t_i < "
-                              "r - i + 1, |c_i| <= 1, s1 > 1 or |xi_1| < 1)")
-    if p.depth == 0:
-        return EvalResult(1 + 0j, 0.0, 0, True)
-    # a subnormal power is not 0, but its reciprocal is not a finite float;
-    # an exact shift just below its least index may round up to it
-    gaps = [p.depth - i - float(ti) for i, ti in enumerate(p.t)]
-    if not all((f := g ** si) and math.isfinite(1 / f)
-               for g, si in zip(gaps, p.s)):
-        i = gaps.index(min(gaps))
-        raise OverflowError("first column: " + (
-            f"shift t_{i + 1} = {p.t[i]} rounds to its least index "
-            f"{p.depth - i} in floats" if gaps[i] <= 0
-            else "(r - i + 1 - t_i)^s_i underflows"))
-
-    cum = p.cumulative_colors()
-    checkpoints = [cfg.n_start]
-    while checkpoints[-1] < cfg.n_max:
-        checkpoints.append(min(2 * checkpoints[-1], cfg.n_max))
-    q = float(max(abs(c) for c in cum))
-    if checkpoints[1:] and q < 1:
-        checkpoints[:0] = [2**k for k in
-                           range(3, (cfg.n_start - 1).bit_length())]
-    lcm = math.lcm(*map(root_order, cum))  # 0: no grid
+def _steps(p: PolyzetaParams, cfg: EvalConfig, checkpoints: list, q: float,
+           lcm: int, ulps: float) -> Generator[int, tuple, EvalResult]:
+    """``eval_di``'s checks on a valid set of positive depth, with largest
+    cumulative modulus ``q``, root-order lcm ``lcm`` (0: none) and rounding
+    term ``ulps``: yields each cutoff it needs, is sent the row there (sum,
+    correction, last column, sum of |column|) and returns the result."""
     grid, n = set(), float(cfg.n_start)
     while lcm and n <= cfg.n_max:
         if cfg.n_start <= lcm * round(n / lcm) <= cfg.n_max:
             grid.add(lcm * round(n / lcm))
         n *= _FIT_RATIO
-    cutoffs = sorted(grid.union(checkpoints))
+    cutoffs = sorted(grid.union(checkpoints)) if grid else checkpoints
     trace, aligned, changes = [], [], [math.inf]
     noise = 100 * (p.weight + 2 * p.depth) * _EPS  # 100 x the rounding term
-    # the plain rounding term per unit of summed |column| also covers an
-    # exact shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
-    # by at most s_i / gap_i, the gap from t_i to its level's least index
-    ulps = (p.weight + 2 * p.depth) * _EPS + sum(
-        si * math.ulp(tf) / 2 / g for si, ti, g in zip(p.s, p.t, gaps)
-        if (tf := float(ti)) != ti)
     previous = plain = fit = None  # plain and fit: (value, error estimate)
     settled = False
-    for cutoff, (head, tail, last, mass) in zip(cutoffs,
-                                                 _partial_sums(p, cutoffs)):
+    for cutoff in cutoffs:
+        head, tail, last, mass = yield cutoff
         value = head + tail
         order, gap = min(_FIT_MAX_ORDER, (_FIT_ROWS - 1) // p.depth,
                          len(aligned) // p.depth), None
@@ -372,6 +345,99 @@ def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                       tuple(trace))
 
 
+def _evaluate(ps: Sequence[PolyzetaParams], cfg: EvalConfig
+              ) -> list[EvalResult]:
+    """``eval_di`` of every parameter set of ``ps`` in one pass: all are
+    checked, in order, before any column is summed; their levels share the
+    nodes of a trie keyed from the innermost level by (number kind, c_i,
+    s_i, t_i). Each set's ``_steps`` reads the rows at its own cutoffs; the
+    nodes that no running set needs are dropped as the sets stop."""
+    results: list = [None] * len(ps)
+    steppers, paths, doubling = [], [], [cfg.n_start]
+    while doubling[-1] < cfg.n_max:
+        doubling.append(min(2 * doubling[-1], cfg.n_max))
+    # a geometric sum also tries 8, 16, ... below n_start
+    early = [2**k for k in range(3, (cfg.n_start - 1).bit_length())
+             if doubling[1:]] + doubling
+    for j, p in enumerate(ps):
+        cum = p.cumulative_colors()
+        if not (p.satisfies_condition_e(cum) and p.is_convergent()):
+            raise DivergenceError(
+                f"divergent term {p.pretty()} (needs t_i < r - i + 1, "
+                "|c_i| <= 1, s1 > 1 or |xi_1| < 1)")
+        if p.depth == 0:
+            results[j] = EvalResult(1 + 0j, 0.0, 0, True)
+            continue
+        # a subnormal power is not 0, but its reciprocal is not a finite
+        # float; an exact shift just below its least index may round up to it
+        gaps = [p.depth - i - float(ti) for i, ti in enumerate(p.t)]
+        if not all((f := g ** si) and math.isfinite(1 / f)
+                   for g, si in zip(gaps, p.s)):
+            i = gaps.index(min(gaps))
+            raise OverflowError("first column: " + (
+                f"shift t_{i + 1} = {p.t[i]} rounds to its least index "
+                f"{p.depth - i} in floats" if gaps[i] <= 0
+                else "(r - i + 1 - t_i)^s_i underflows"))
+        paths.append([(scalar_tag(c), c, si, float(ti)) for c, si, ti in zip(
+            reversed(float_or_complex(cum)), reversed(p.s), reversed(p.t))])
+        # the rounding term per unit of summed |column| also covers an exact
+        # shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
+        # by at most s_i / gap_i, the gap from t_i to its level's least index
+        ulps = (p.weight + 2 * p.depth) * _EPS + sum(
+            si * math.ulp(tf) / 2 / g for si, ti, g in zip(p.s, p.t, gaps)
+            if (tf := float(ti)) != ti)
+        q = float(max(abs(c) for c in cum))
+        steppers.append((j, _steps(p, cfg, early if q < 1 else doubling, q,
+                                   math.lcm(*map(root_order, cum)), ulps)))
+    nodes, paths = _trie(paths)  # each path as the positions of its nodes
+    jobs = [(j, steps, next(steps), path)
+            for (j, steps), path in zip(steppers, paths)]
+    state, live = [None] * len(nodes), list(range(len(nodes)))
+    sums, start = dict.fromkeys(path[-1] for path in paths), 1
+    while jobs:
+        stop = min(start + _BLOCK, *(job[2] for job in jobs))
+        _sum_block(nodes, live, state, sums, start, stop)
+        start, running = stop, []
+        for j, steps, cutoff, path in jobs:
+            if cutoff == stop:
+                total, corr, mass, last = sums[path[-1]]
+                try:
+                    cutoff = steps.send((complex(total), complex(corr),
+                                         complex(last), mass))
+                except StopIteration as done:
+                    results[j] = done.value
+                    continue
+            running.append((j, steps, cutoff, path))
+        jobs, needed = running, {i for job in running for i in job[3]}
+        live = [i for i in live if i in needed]
+    return results
+
+
+def eval_di(p: PolyzetaParams, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """Evaluate a convergent parameter set by truncated summation.
+
+    The plain check doubles the cutoff from ``cfg.n_start`` and passes when
+    increment plus tail bound plus rounding is within tolerance. When every
+    cumulative color has modulus below 1 and ``n_start < n_max``, the
+    checkpoints 8, 16, ... below ``n_start`` come first. One of them counts
+    only once the tail bound is at most epsilon/2 times |partial sum|, so
+    that no later column can change the float value; its estimate is the
+    increment since the last row plus bound plus rounding. A sum settled in
+    that sense also stops, flagged unconverged, once its rounding term
+    alone exceeds the tolerance, which no later cutoff could meet. When
+    every cumulative color is an exact root of unity, rows at multiples of
+    their order lcm, spaced by about 1.25, feed a fit of order
+    J + 1 <= _FIT_MAX_ORDER on at most _FIT_ROWS rows. Its estimate is the
+    largest of its gap to the order-J fit and its last two changes from fit
+    to fit, plus 100 times the rounding term. The first check to pass gives
+    the result; at ``cfg.n_max`` the smaller estimate does, flagged
+    unconverged. Only this function refuses input: ``DivergenceError``
+    outside condition (e) or at s1 = 1, |xi_1| = 1, and ``OverflowError``
+    for a first column with no finite 1/(r - i + 1 - t_i)^s_i at some level.
+    """
+    return _evaluate([p], cfg)[0]
+
+
 @dataclass(frozen=True, slots=True)
 class VerifyReport:
     """Numerical comparison of a two-factor product against an expansion;
@@ -396,23 +462,22 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
     Without an explicit ``residual_tolerance``, the acceptance threshold
     is the propagated error budget of the evaluations plus ``cfg.tolerance``.
     An unconverged evaluation fails the check whatever the residual.
-    Terms are summed in sorted order. ``eval_di`` raises on a divergent
-    term, naming it; p and q are evaluated first.
+    Terms are summed in sorted order. A divergent term raises, naming it;
+    every term is checked before any is summed, p and q first.
     """
     if residual_tolerance is not None and not 0 <= residual_tolerance < math.inf:
         raise ValueError("residual_tolerance must be finite and >= 0")
     p, q = lhs
-    jobs: list[PolyzetaParams] = [p, q] + [term for term, _ in rhs.sorted_terms()]
-    results = [eval_di(pp, cfg) for pp in jobs]
+    terms = rhs.sorted_terms()
+    results = _evaluate([p, q] + [term for term, _ in terms], cfg)
 
     rp, rq = results[0], results[1]
     lhs_value = rp.value * rq.value
     lhs_err = (abs(rp.value) * rq.error_estimate
                + abs(rq.value) * rp.error_estimate
                + rp.error_estimate * rq.error_estimate)
-    rhs_value = 0j
-    rhs_err = 0.0
-    for (term, coeff), res in zip(rhs.sorted_terms(), results[2:]):
+    rhs_value, rhs_err = 0j, 0.0
+    for (_, coeff), res in zip(terms, results[2:]):
         weight = complex(coeff)
         rhs_value += weight * res.value
         rhs_err += abs(weight) * res.error_estimate
@@ -420,12 +485,6 @@ def verify_relation(lhs: tuple[PolyzetaParams, PolyzetaParams],
     budget = cfg.tolerance + lhs_err + rhs_err
     threshold = residual_tolerance if residual_tolerance is not None else budget
     converged = all(res.converged for res in results)
-    return VerifyReport(
-        lhs_value=lhs_value,
-        rhs_value=rhs_value,
-        residual=residual,
-        tolerance=threshold,
-        ok=converged and residual <= threshold,
-        n_used=max(res.n_used for res in results),
-        converged=converged,
-    )
+    return VerifyReport(lhs_value, rhs_value, residual, threshold,
+                        converged and residual <= threshold,
+                        max(res.n_used for res in results), converged)

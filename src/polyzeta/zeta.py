@@ -77,11 +77,11 @@ class PolyzetaParams:
     def cumulative_colors(self) -> tuple[Color, ...]:
         return cumulative(self.xi)
 
-    def satisfies_condition_e(self) -> bool:
+    def satisfies_condition_e(self, cum: Optional[tuple] = None) -> bool:
         """All prefix products of colors have modulus <= 1 and every shift
         t_i lies below its level's least index r - i + 1 (the convergence
-        hypothesis of the series)."""
-        return (all(abs(c) <= 1 for c in self.cumulative_colors())
+        hypothesis of the series). ``cum``: the cumulative colors, if known."""
+        return (all(abs(c) <= 1 for c in cum or self.cumulative_colors())
                 and all(ti < self.depth - i for i, ti in enumerate(self.t)))
 
     def is_convergent(self) -> bool:

@@ -205,6 +205,17 @@ def test_antipode_refuses_a_word_of_another_kind_however_short():
     assert antipode(br, EMPTY_WORD) == Polynomial.one()
 
 
+def test_antipode_recursive_refuses_a_word_of_another_kind_however_short():
+    # a one-letter word never reaches the bracket, so only the kind rule
+    # can refuse it, as it does for the closed formula
+    br = Bracket("stuffle", STUFFLE.fn, STUFFLE.kinds)
+    for w in (word(X0()), word(MonoidLetter(2), MonoidLetter(3))):
+        with pytest.raises(AlphabetMismatchError, match="undefined on"):
+            antipode_recursive(br, w)
+    assert not br._antipode_rec_memo
+    assert antipode_recursive(br, EMPTY_WORD) == Polynomial.one()
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_check_bialgebra_and_antipode(name):
     br = PRODUCTS[name]

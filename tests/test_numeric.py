@@ -7,8 +7,10 @@ import pytest
 from oracles import (brute_M, double_sum_oracle, nested_sum_oracle,
                      rational_grid, single_sum_oracle)
 from polyzeta.errors import DivergenceError
+import polyzeta.numeric
 from polyzeta.numeric import (EvalConfig, EvalResult, VerifyReport,
-                              _tail_bound, check_prop_M, eval_di, partial_M,
+                              _evaluate, _partial_Ms, _tail_bound, _trie,
+                              check_prop_M, eval_di, partial_M,
                               verify_relation)
 from polyzeta.scalars import (exact_color, float_or_complex, root_of_unity,
                               root_order)
@@ -743,3 +745,151 @@ def test_geometric_sums_below_float_noise_stop_unconverged():
     res = eval_di(p, EvalConfig(tolerance=1e-30))
     assert not res.converged and res.n_used <= 2**10
     assert res.value == eval_di(p).value
+
+
+# --- the joint pass over a relation's terms --------------------------------
+# verify_relation sums p, q and every expansion term in one pass that shares
+# their inner levels; each term must come out bit for bit as eval_di alone
+# gives it, trace included.
+
+_JOINT_CFG = EvalConfig(n_start=2**8, n_max=2**11)
+
+
+def _joint_relations():
+    """(p, q, expansion) triples: real, complex and mixed terms, fits at
+    roots of unity, depth-0 factors, and terms that stop early beside
+    terms that run to n_max."""
+    rng = random.Random(2024)
+    w3, w4 = root_of_unity(1, 3), root_of_unity(1, 4)
+    colors = (F(1, 2), F(-2, 3), F(3, 4), F(-1, 3), exact_color(F(1, 2), F(1, 3)),
+              0.5, complex(0.25, -0.5), w3, -1)
+    shifts = (0, F(1, 3), F(-1, 2), F(1, 5))
+    fixed = [
+        # the README-style shuffle whose terms share suffixes
+        (P((2, 1, 2), (F(1, 2), F(-2, 3), F(3, 4)), (0, F(1, 3), 0)),
+         P((1, 2, 1), (F(-1, 3), F(1, 2), F(2, 3)), (F(-1, 2), 0, F(1, 5)))),
+        # real and complex terms side by side, fitted at multiples of 3
+        (P((2, 1), (-1, w3), (0, 0)), P((2,), (w3,), (0,))),
+        (P((2,), (w4,), (0,)), P((3,), (-1,), (0,))),
+        # a float unit color never fits: its terms run to n_max, while the
+        # geometric factor stops below n_start
+        (P((2,), (1.0,), (0,)), P((2,), (F(1, 2),), (0,))),
+        # depth-0 factors
+        (P((2, 1), (F(1, 2), F(1, 3)), (0, 0)), PolyzetaParams()),
+        (PolyzetaParams(), PolyzetaParams()),
+    ]
+    for p, q in fixed:
+        yield p, q, shuffle_expand(p, q)
+        if p.t[:1] == q.t[:1] or not (p.depth and q.depth):
+            yield p, q, duffle_expand(p, q)
+    for _ in range(12):
+        t = rng.choice(shifts)
+        p, q = (P(tuple(rng.randint(1, 3) for _ in range(d)),
+                  tuple(rng.choice(colors) for _ in range(d)), (t,) * d)
+                for d in (rng.randint(1, 2), rng.randint(1, 2)))
+        if not all(x.satisfies_condition_e() and x.is_convergent()
+                   for x in (p, q)):
+            continue
+        yield p, q, (duffle_expand if rng.random() < 0.5
+                     else shuffle_expand)(p, q)
+
+
+def test_joint_pass_equals_each_term_alone():
+    kinds, n_used = set(), set()
+    for p, q, lc in _joint_relations():
+        jobs = [p, q] + [term for term, _ in lc.sorted_terms()]
+        joint = _evaluate(jobs, _JOINT_CFG)
+        alone = [eval_di(job, _JOINT_CFG) for job in jobs]
+        assert repr(joint) == repr(alone), p.pretty() + " * " + q.pretty()
+        kinds |= {type(v) for job in jobs
+                  for v in float_or_complex(job.cumulative_colors())}
+        n_used |= {(res.n_used == _JOINT_CFG.n_max, res.n_used < 2**8)
+                   for res in alone if res.n_used}
+    assert kinds == {float, complex}
+    # the battery has terms at n_max and terms that stop below n_start
+    assert {(True, False), (False, True)} <= n_used
+
+
+def test_joint_pass_mixes_early_stops_with_terms_at_n_max():
+    p, q = P((2,), (1.0,), (0,)), P((2,), (F(1, 2),), (0,))
+    jobs = [p, q] + [term for term, _ in shuffle_expand(p, q).sorted_terms()]
+    results = _evaluate(jobs, _JOINT_CFG)
+    assert results[0].n_used == _JOINT_CFG.n_max and not results[0].converged
+    assert results[1].n_used < 2**8 and results[1].converged
+    assert results == [eval_di(job, _JOINT_CFG) for job in jobs]
+
+
+def test_joint_pass_keeps_the_sums_of_an_underflowing_geometric_level():
+    # (1/9)^k underflows to 0 near k = 340, several blocks before 2^12;
+    # a direct double sum of the same columns agrees
+    n = 2**12
+    res = eval_di(P((2, 2), (1, F(1, 9)), (0, 0)), EvalConfig(n_start=n,
+                                                                n_max=n))
+    inner, ref = 0.0, []
+    for k in range(1, n):
+        ref.append(inner / k**2)
+        inner += 9.0**-k / k**2
+    assert res.n_used == n
+    assert abs(res.trace[-1].partial_sum - math.fsum(ref)) < 1e-15
+
+
+def test_joint_pass_raises_the_first_error_in_job_order(monkeypatch):
+    summed = []
+    real_sum_block = polyzeta.numeric._sum_block
+    monkeypatch.setattr(polyzeta.numeric, "_sum_block",
+                        lambda *args: summed.append(args[4:]) or
+                        real_sum_block(*args))
+    good = P((2,), (F(1, 2),), (0,))
+    divergent = P((1,), (1,), (0,))
+    overflow = P((30,), (1,), (0.999999999999999,))
+    with pytest.raises(DivergenceError, match=r"s=\(1\)"):
+        _evaluate([good, divergent, overflow], EvalConfig())
+    with pytest.raises(OverflowError, match="first column"):
+        _evaluate([good, overflow, divergent], EvalConfig())
+    with pytest.raises(DivergenceError):
+        verify_relation((good, divergent), shuffle_expand(good, good))
+    assert summed == []  # no column was summed before the error
+    assert _evaluate([good], EvalConfig()) == [eval_di(good)]
+    assert summed
+
+
+def test_joint_pass_keeps_float_and_complex_levels_apart(monkeypatch):
+    # the real level 1/2 is shared by two real sums, but a complex sum runs
+    # it in complexes, on a node of its own
+    sizes = []
+    real_sum_block = polyzeta.numeric._sum_block
+    monkeypatch.setattr(polyzeta.numeric, "_sum_block",
+                        lambda nodes, *rest: sizes.append(len(nodes)) or
+                        real_sum_block(nodes, *rest))
+    w3 = root_of_unity(1, 3)
+    jobs = [P((2,), (F(1, 2),), (0,)), P((3, 2), (F(1, 3), F(3, 2)), (0, 0)),
+            P((2, 2), (w3, F(1, 2) / w3), (0, 0))]
+    assert _evaluate(jobs, _JOINT_CFG) == [eval_di(p, _JOINT_CFG)
+                                           for p in jobs]
+    assert sizes[0] == 4
+
+
+def test_trie_shares_suffixes_in_preorder():
+    nodes, routes = _trie([["a", "b"], ["a", "c"], [], ["a", "b", "d"],
+                           ["e"]])
+    assert nodes == [(0, "a"), (1, "b"), (2, "d"), (1, "c"), (0, "e")]
+    assert routes == [[0, 1], [0, 3], [], [0, 1, 2], [4]]
+
+
+def test_shared_exact_program_equals_brute_force_term_by_term():
+    rng = random.Random(41)
+    for _ in range(40):
+        t = F(rng.randint(-3, 0), rng.randint(1, 4))
+        lam = lambda k: 1 / (k - t)
+        p, q = (P([rng.randint(1, 3) for _ in range(d)],
+                  [rational_grid(rng) for _ in range(d)], (0,) * d)
+                for d in (rng.randint(0, 3), rng.randint(0, 3)))
+        terms = [(p.s, p.xi), (q.s, q.xi)] + [
+            (term.s, term.xi) for term, _ in duffle_expand(p, q)]
+        n = rng.randint(0, 9)
+        assert _partial_Ms(n, terms, lam) == [
+            brute_M(n, s, xi, lam) for s, xi in terms]
+    # equal colors of different types run apart: floats stay floats
+    got = _partial_Ms(6, [((2,), (0.5,)), ((2,), (F(1, 2),))], HARMONIC)
+    assert [type(v) for v in got] == [float, F]
+    assert abs(got[0] - got[1]) < 1e-15
