@@ -190,8 +190,12 @@ def _sum_block(nodes: list, live: list, state: list, sums: dict,
     path: list = []
     for i in live:
         depth, (tag, c, s, t) = nodes[i]
-        pw = powers.get((s, t)) or powers.setdefault(
-            (s, t), [(k - t) ** s for k in range(start, stop)])
+        if (s, t) not in powers:
+            try:
+                powers[s, t] = [(k - t) ** s for k in range(start, stop)]
+            except OverflowError:  # the column itself need not be
+                powers[s, t] = [_power(k - t, s) for k in range(start, stop)]
+        pw = powers[s, t]
         del path[depth:]
         zero = tag[0]()
         if state[i] is None:
@@ -222,9 +226,27 @@ def _sum_block(nodes: list, live: list, state: list, sums: dict,
             sums[i] = total, corr, mass, h
 
 
-def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
+class _Steps(list):
+    """A power x^s past float range, as float factors of modulus >= 1 that
+    a column is divided by in turn. Each step rounds as a plain quotient
+    does and only shrinks it, so precision is lost only where the column
+    is itself subnormal."""
+
+    def __rtruediv__(self, y):
+        for f in self:
+            y /= f
+        return y
+
+
+def _power(x: float, s: int):
+    """x^s: a float below 2^1023, else ``_Steps`` of powers x^h below it."""
+    h = min(s, int(1023 / math.log2(abs(x))) or 1) if abs(x) > 1 else s
+    return x ** s if h == s else _Steps([x ** h] * (s // h) + [x ** (s % h)])
+
+
+def _tail_bound(p: PolyzetaParams, t: list, q: float, cutoff: int) -> float:
     """Bound on the sum of |term| over every index tuple with n1 >= cutoff,
-    where q is the largest modulus of the cumulative colors c_i.
+    where t holds the float shifts and q is the largest cumulative modulus.
 
     A term has modulus at most q^n1 (n1 - t1)^(-s1) times its inner levels,
     and the levels below n1 sum to at most B_i(n1) = (m_i - t_i)^(-s_i) +
@@ -245,11 +267,11 @@ def _tail_bound(p: PolyzetaParams, q: float, cutoff: int) -> float:
     """
     if cutoff <= p.depth:
         return math.inf
-    s1, t1 = p.s[0], float(p.t[0])
+    s1, t1 = p.s[0], t[0]
     d = cutoff - 1 - t1
     inner, rate, growth = 1.0, 0.0, 0.0
     for i in range(1, p.depth):
-        si, ti = p.s[i], float(p.t[i])
+        si, ti = p.s[i], t[i]
         base = p.depth - i - ti
         if si == 1:
             b = 1 / base + math.log((cutoff - ti) / base)
@@ -292,12 +314,14 @@ def _extrapolate(rows: list, order: int, depth: int) -> complex:
     return head + (tail + a[-1][-1] / a[-1][-2])
 
 
-def _steps(p: PolyzetaParams, cfg: EvalConfig, checkpoints: list, q: float,
-           lcm: int, ulps: float) -> Generator[int, tuple, EvalResult]:
-    """``eval_di``'s checks on a valid set of positive depth, with largest
-    cumulative modulus ``q``, root-order lcm ``lcm`` (0: none) and rounding
-    term ``ulps``: yields each cutoff it needs, is sent the row there (sum,
-    correction, last column, sum of |column|) and returns the result."""
+def _steps(p: PolyzetaParams, t: list, cfg: EvalConfig, checkpoints: list,
+           q: float, lcm: int, ulps: float
+           ) -> Generator[int, tuple, EvalResult]:
+    """``eval_di``'s checks on a valid set of positive depth, with float
+    shifts ``t``, largest cumulative modulus ``q``, root-order lcm ``lcm``
+    (0: none) and rounding term ``ulps``: yields each cutoff it needs, is
+    sent the row there (sum, correction, last column, sum of |column|) and
+    returns the result."""
     grid, n = set(), float(cfg.n_start)
     while lcm and n <= cfg.n_max:
         if cfg.n_start <= lcm * round(n / lcm) <= cfg.n_max:
@@ -324,7 +348,7 @@ def _steps(p: PolyzetaParams, cfg: EvalConfig, checkpoints: list, q: float,
         trace.append(TraceRow(cutoff, value, increment,
                               0 if gap is None else order, gap))
         if cutoff in checkpoints:
-            bound = _tail_bound(p, q, cutoff)
+            bound = _tail_bound(p, t, q, cutoff)
             rounding = ulps * mass
             # a geometric sum settles where no later column can change it
             settled = q < 1 and bound <= _EPS / 2 * abs(value)
@@ -361,7 +385,8 @@ def _evaluate(ps: Sequence[PolyzetaParams], cfg: EvalConfig
              if doubling[1:]] + doubling
     for j, p in enumerate(ps):
         cum = p.cumulative_colors()
-        if not (p.satisfies_condition_e(cum) and p.is_convergent()):
+        moduli = [abs(c) for c in cum]
+        if not (p.satisfies_condition_e(moduli) and p.is_convergent()):
             raise DivergenceError(
                 f"divergent term {p.pretty()} (needs t_i < r - i + 1, "
                 "|c_i| <= 1, s1 > 1 or |xi_1| < 1)")
@@ -370,7 +395,8 @@ def _evaluate(ps: Sequence[PolyzetaParams], cfg: EvalConfig
             continue
         # a subnormal power is not 0, but its reciprocal is not a finite
         # float; an exact shift just below its least index may round up to it
-        gaps = [p.depth - i - float(ti) for i, ti in enumerate(p.t)]
+        shifts = [float(ti) for ti in p.t]
+        gaps = [p.depth - i - tf for i, tf in enumerate(shifts)]
         if not all((f := g ** si) and math.isfinite(1 / f)
                    for g, si in zip(gaps, p.s)):
             i = gaps.index(min(gaps))
@@ -378,17 +404,19 @@ def _evaluate(ps: Sequence[PolyzetaParams], cfg: EvalConfig
                 f"shift t_{i + 1} = {p.t[i]} rounds to its least index "
                 f"{p.depth - i} in floats" if gaps[i] <= 0
                 else "(r - i + 1 - t_i)^s_i underflows"))
-        paths.append([(scalar_tag(c), c, si, float(ti)) for c, si, ti in zip(
-            reversed(float_or_complex(cum)), reversed(p.s), reversed(p.t))])
+        paths.append([(scalar_tag(c), c, si, tf) for c, si, tf in zip(
+            reversed(float_or_complex(cum)), reversed(p.s), reversed(shifts))])
         # the rounding term per unit of summed |column| also covers an exact
         # shift rounded to a float: 1 / (k - t_i)^s_i amplifies that error
         # by at most s_i / gap_i, the gap from t_i to its level's least index
         ulps = (p.weight + 2 * p.depth) * _EPS + sum(
-            si * math.ulp(tf) / 2 / g for si, ti, g in zip(p.s, p.t, gaps)
-            if (tf := float(ti)) != ti)
-        q = float(max(abs(c) for c in cum))
-        steppers.append((j, _steps(p, cfg, early if q < 1 else doubling, q,
-                                   math.lcm(*map(root_order, cum)), ulps)))
+            si * math.ulp(tf) / 2 / g
+            for si, ti, tf, g in zip(p.s, p.t, shifts, gaps)
+            if tf.as_integer_ratio() != ti.as_integer_ratio())
+        q = float(max(moduli))  # below 1, every root order is 0
+        steppers.append((j, _steps(
+            p, shifts, cfg, early if q < 1 else doubling, q,
+            math.lcm(*map(root_order, cum)) if q == 1 else 0, ulps)))
     nodes, paths = _trie(paths)  # each path as the positions of its nodes
     jobs = [(j, steps, next(steps), path)
             for (j, steps), path in zip(steppers, paths)]

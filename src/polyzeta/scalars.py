@@ -18,7 +18,8 @@ Every rule that branches on scalar types lives here: ``check_color``,
 letter field's identity beyond ``==``), ``in_range`` (a computed value
 past float range is an overflow), ``ratio``, ``cumulative``,
 ``float_or_complex`` (the float type a sum of colors can run in),
-``root_order`` and ``color_sort_key``.
+``unit_sign``, ``root_order`` and ``color_sort_key``. Exact values are
+read through their integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ Real = Union[int, float, Fraction]
 Color = Union[int, Fraction, float, complex, "ExactColor"]
 
 _HALF = Fraction(1, 2)
-# the largest float as an int: a Fraction compares with it exactly, about
-# three times faster than with the float itself
+# the largest float as an int: an int compares with it exactly, and a
+# Fraction does through its numerator and denominator
 _FLOAT_MAX = int(sys.float_info.max)
 
 
@@ -120,8 +121,7 @@ def root_of_unity(k: int, n: int) -> Union[Fraction, ExactColor]:
 def color_sort_key(value: Color) -> tuple:
     """Deterministic total order on colors (not a semantic order)."""
     if isinstance(value, (int, Fraction)):
-        f = Fraction(value)
-        return (0, f.numerator, f.denominator, 0, 1)
+        return (0, value.numerator, value.denominator, 0, 1)
     if isinstance(value, ExactColor):
         return (1, value.mag.numerator, value.mag.denominator,
                 value.turns.numerator, value.turns.denominator)
@@ -133,10 +133,10 @@ def check_color(c: Color, zero: bool = False) -> None:
     """Refuses a color that is not a ``Color`` (a bool is not one), is zero
     (unless ``zero``, as a letter's monoid value may be) or is not finite."""
     if (type(c) is bool
-            or not isinstance(c, (int, Fraction, float, complex, ExactColor))):
+            or not isinstance(c, (int, float, complex, ExactColor, Fraction))):
         raise ValueError(
             f"colors must be int, Fraction, float, complex or ExactColor, got {c!r}")
-    if c == 0 and not zero:
+    if not c and not zero:
         raise ValueError("colors must be nonzero")
     scalar_tag(c)
 
@@ -144,10 +144,17 @@ def check_color(c: Color, zero: bool = False) -> None:
 def real_shift(t) -> Real:
     """A shift within float range, where the evaluator reads it: exact
     values become Fractions, floats stay floats, anything else is refused."""
-    if (isinstance(t, bool) or not isinstance(t, (int, Fraction, float))
-            or not abs(t) <= _FLOAT_MAX):
+    if (isinstance(t, bool) or not isinstance(t, (int, float, Fraction))
+            or not _within_float_range(t)):
         raise ValueError(f"shifts must be reals within float range, got {t!r}")
-    return t if isinstance(t, float) else Fraction(t)
+    return t if isinstance(t, float) or type(t) is Fraction else Fraction(t)
+
+
+def _within_float_range(v) -> bool:
+    """|v| <= sys.float_info.max for a real v, exactly."""
+    if isinstance(v, (int, float)):
+        return abs(v) <= _FLOAT_MAX
+    return abs(v.numerator) <= _FLOAT_MAX * v.denominator
 
 
 def scalar_tag(v) -> object:
@@ -164,7 +171,7 @@ def in_range(v, shift: bool = False):
     range it is a float overflow (``OverflowError``), not the caller's
     error: a float or complex that is not finite, or a shift beyond
     ``sys.float_info.max``."""
-    if (not abs(v) <= _FLOAT_MAX if shift
+    if (not _within_float_range(v) if shift
             else isinstance(v, (float, complex)) and not cmath.isfinite(v)):
         raise OverflowError("computed shift beyond float range" if shift
                             else f"computed value {v!r}")
@@ -187,14 +194,26 @@ def cumulative(xi) -> tuple:
 def float_or_complex(values) -> list:
     """``values`` as floats when every imaginary part is 0 (of either
     sign), else as complexes."""
-    zs = [complex(v) for v in values]
-    return zs if any(z.imag for z in zs) else [z.real for z in zs]
+    zs = [v.numerator / v.denominator if type(v) is Fraction else complex(v)
+          for v in values]
+    return ([complex(z) for z in zs] if any(z.imag for z in zs)
+            else [z.real for z in zs])
+
+
+def unit_sign(c: Color) -> int:
+    """-1, 0 or 1 as |c| is below, at or above 1, exactly for exact c."""
+    if isinstance(c, (float, complex)):
+        n, d = abs(c), 1
+    else:
+        m = c.mag if isinstance(c, ExactColor) else c
+        n, d = abs(m.numerator), m.denominator
+    return (n > d) - (n < d)
 
 
 def root_order(c: Color) -> int:
     """The order of ``c`` as an exact root of unity (never a float), else 0."""
+    if isinstance(c, (float, complex)) or unit_sign(c):
+        return 0
     if isinstance(c, ExactColor):
-        return c.turns.denominator if c.mag == 1 else 0
-    if isinstance(c, (int, Fraction)) and abs(c) == 1:
-        return 1 if c == 1 else 2
-    return 0
+        return c.turns.denominator
+    return 1 if c > 0 else 2

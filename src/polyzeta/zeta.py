@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DiagonalError, ShapeError
 from .products import DUFFLE, SHUFFLE, star
 from .scalars import (Color, Real, check_color, color_sort_key, cumulative,
-                      in_range, ratio, real_shift)
+                      in_range, ratio, real_shift, unit_sign)
 from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
@@ -77,17 +77,19 @@ class PolyzetaParams:
     def cumulative_colors(self) -> tuple[Color, ...]:
         return cumulative(self.xi)
 
-    def satisfies_condition_e(self, cum: Optional[tuple] = None) -> bool:
+    def satisfies_condition_e(self, moduli: Optional[list] = None) -> bool:
         """All prefix products of colors have modulus <= 1 and every shift
         t_i lies below its level's least index r - i + 1 (the convergence
-        hypothesis of the series). ``cum``: the cumulative colors, if known."""
-        return (all(abs(c) <= 1 for c in cum or self.cumulative_colors())
-                and all(ti < self.depth - i for i, ti in enumerate(self.t)))
+        hypothesis). ``moduli``: those of the cumulative colors, if known."""
+        return (all(unit_sign(m) <= 0
+                    for m in moduli or self.cumulative_colors())
+                and all(n < (self.depth - i) * d for i, (n, d) in enumerate(
+                    ti.as_integer_ratio() for ti in self.t)))
 
     def is_convergent(self) -> bool:
         """True when the nested sum converges: s1 > 1, or s1 = 1 with
         |xi_1| < 1 (geometric damping)."""
-        return self.depth == 0 or self.s[0] > 1 or abs(self.xi[0]) < 1
+        return self.depth == 0 or self.s[0] > 1 or unit_sign(self.xi[0]) < 0
 
     def sort_key(self) -> tuple:
         return (self.depth, self.s,

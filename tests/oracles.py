@@ -5,6 +5,7 @@ it checks: direct enumeration instead of memoized recursion, plain
 summation instead of the level dynamic program.
 """
 
+import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import factorial, fsum, prod
@@ -12,6 +13,7 @@ from math import factorial, fsum, prod
 from polyzeta import products
 from polyzeta.hopf import CheckReport, _sample, coproduct
 from polyzeta.products import SHUFFLE, Bracket, star
+from polyzeta.scalars import ExactColor
 from polyzeta.words import Polynomial, Word, _canonical
 
 
@@ -164,6 +166,68 @@ def nested_sum_oracle(s, xi, shifts, cutoff: int) -> complex:
                 nxt[n] = x ** n / (n - t) ** si * below
         values = nxt
     return complex(fsum(v.real for v in values), fsum(v.imag for v in values))
+
+
+# The scalar rules of ``polyzeta.scalars`` written in Fraction arithmetic:
+# abs(), comparisons with ints and floats, and Fraction copies. The library
+# reads the integer numerator and denominator instead; these references
+# pin that both give the same answers.
+
+FLOAT_MAX = int(sys.float_info.max)
+
+
+def real_shift_reference(t):
+    if (isinstance(t, bool) or not isinstance(t, (int, Fraction, float))
+            or not abs(t) <= FLOAT_MAX):
+        raise ValueError(f"shifts must be reals within float range, got {t!r}")
+    return t if isinstance(t, float) else Fraction(t)
+
+
+def shift_in_range_reference(v) -> bool:
+    return abs(v) <= FLOAT_MAX
+
+
+def color_is_zero_reference(c) -> bool:
+    return c == 0
+
+
+def unit_sign_reference(c) -> int:
+    """-1, 0 or 1 as abs(c) < 1, == 1 or > 1."""
+    m = abs(c)
+    return (m > 1) - (m < 1)
+
+
+def color_sort_key_reference(value) -> tuple:
+    if isinstance(value, (int, Fraction)):
+        f = Fraction(value)
+        return (0, f.numerator, f.denominator, 0, 1)
+    if isinstance(value, ExactColor):
+        return (1, value.mag.numerator, value.mag.denominator,
+                value.turns.numerator, value.turns.denominator)
+    z = complex(value)
+    return (2, z.real, z.imag, 0, 1)
+
+
+def float_or_complex_reference(values) -> list:
+    zs = [complex(v) for v in values]
+    return zs if any(z.imag for z in zs) else [z.real for z in zs]
+
+
+def root_order_reference(c) -> int:
+    if isinstance(c, ExactColor):
+        return c.turns.denominator if c.mag == 1 else 0
+    if isinstance(c, (int, Fraction)) and abs(c) == 1:
+        return 1 if c == 1 else 2
+    return 0
+
+
+def condition_e_reference(p) -> bool:
+    return (all(abs(c) <= 1 for c in p.cumulative_colors())
+            and all(ti < p.depth - i for i, ti in enumerate(p.t)))
+
+
+def is_convergent_reference(p) -> bool:
+    return p.depth == 0 or p.s[0] > 1 or abs(p.xi[0]) < 1
 
 
 def rational_grid(rng, lo=-3, hi=3, qmax=4) -> Fraction:

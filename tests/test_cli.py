@@ -296,9 +296,6 @@ def test_exit_code_3_on_domain_errors(capsys):
     assert code == 3
     # float overflow in the evaluator's kernel
     for argv in (
-            ("eval", "--params", '{"s": [400], "xi": [1], "t": [0]}'),
-            ("verify", "--mode", "duffle",
-             "--left", '{"s": [400], "xi": [1], "t": [0]}', "--right", ZETA2),
             ("eval", "--params", '{"s": [2], "xi": [-1.0], "t": [-1e300]}'),
             # (1 - t)^30 underflows to 0: the first column is past float range
             ("eval", "--params", UNDERFLOW),
@@ -310,6 +307,19 @@ def test_exit_code_3_on_domain_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "Traceback" not in err
         assert err.startswith("error: float range exceeded")
+
+
+def test_power_past_float_range_is_not_an_overflow(capsys):
+    # k^400 leaves float range where 1/k^400 is only subnormal: the column
+    # is divided in float steps, not an overflow, and the sums converge
+    code, out, _ = run(capsys, "eval", "--params",
+                       '{"s": [400], "xi": [1], "t": [0]}')
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is True and payload["value"]["re"] == 1.0
+    code, out, _ = run(capsys, "verify", "--mode", "duffle", "--left",
+                       '{"s": [400], "xi": [1], "t": [0]}', "--right", ZETA2)
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_eval_names_a_shift_that_rounds_to_its_least_index(capsys):
@@ -399,6 +409,9 @@ def test_verify_command_fails_unconverged_run(capsys):
 ZETA2 = json.dumps({"s": [2], "xi": [1], "t": [0]})
 ROOT_SHIFT = '{"s": [2], "xi": [1], "t": [{"q": 1, "n": 3}]}'
 HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
+TINY_COLOR = '{"s": [2], "xi": [1e-200], "t": [0]}'
+TINY_RATIO = ('[{"kind": "xform", "color": 1e300, "tbar": 0}, '
+              '{"kind": "xform", "color": 1e-300, "tbar": 0}]')
 
 
 @pytest.mark.parametrize("argv", (
@@ -442,6 +455,11 @@ HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
     ("zeta-expand", "--mode", "shuffle", "--left", HUGE_SHIFT,
      "--right", ZETA2, "--format", "pretty"),
     ("eval", "--params", '{"s": [2], "xi": [{"q": true, "n": 3}], "t": [0]}'),
+    # computed colors that underflow to 0 are refused as zero colors: the
+    # contraction of two 1e-200 colors, and the ratio 1e-300 / 1e300
+    ("zeta-expand", "--mode", "duffle", "--left", TINY_COLOR,
+     "--right", TINY_COLOR),
+    ("decode", "--word", TINY_RATIO),
 ), ids=("negative-max-len", "eval-nmax-1", "eval-negative-tol",
         "verify-nmax-1", "verify-negative-tol", "non-finite-shift",
         "eval-tol-inf", "eval-tol-nan", "verify-tol-inf", "verify-tol-nan",
@@ -450,11 +468,14 @@ HUGE_SHIFT = '{"s": [2], "xi": [1], "t": ["-1e400"]}'
         "non-finite-letter-value", "non-finite-alphabet",
         "non-string-family", "root-of-unity-shift",
         "encode-root-of-unity-shift", "root-of-unity-tbar", "complex-tbar",
-        "huge-shift", "huge-shift-pretty-expansion", "boolean-root-numerator"))
+        "huge-shift", "huge-shift-pretty-expansion", "boolean-root-numerator",
+        "underflowing-contraction-color", "underflowing-color-ratio"))
 def test_refused_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:")
+    if TINY_COLOR in argv or TINY_RATIO in argv:
+        assert err == "error: colors must be nonzero\n"
     if argv[0] == "verify" and "--tol" in argv:
         # the residual threshold is refused, not an evaluation tolerance
         assert "residual_tolerance must be finite and >= 0" in err

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -177,6 +178,34 @@ def test_eval_keeps_an_outer_level_whose_shift_is_just_below_one():
     assert abs(res.value - direct) <= res.error_estimate
 
 
+def test_eval_sums_a_level_whose_powers_leave_float_range():
+    # k^200 overflows from k = 35 on, where 1/k^200 is at most subnormal,
+    # and past n2 = 1 the inner sum adds only about 2^-200, so
+    # Z((2,200);(1,1);(0,0)) = pi^2/6 - 1 in floats
+    res = eval_di(P((2, 200), (1, 1), (0, 0)))
+    assert res.converged
+    assert abs(res.value - (math.pi**2 / 6 - 1)) <= res.error_estimate
+
+
+def test_eval_divides_a_large_inner_sum_by_a_power_past_float_range():
+    # (n2 - t2)^-20 is about 1e300 at n2 = 1, and (n1 - t1)^50 leaves float
+    # range from n1 = 3 on: the outer columns stay about 1e-9 there, so
+    # dropping them would lose half the value
+    top = sys.float_info.max ** (1 / 50)
+    t1, t2 = 2.5 - top, 1 - 1e-15
+    assert (2 - t1) ** 50 <= sys.float_info.max
+    with pytest.raises(OverflowError):
+        (3 - t1) ** 50
+    res = eval_di(P((50, 20), (0.5, 1), (t1, t2)))
+    # the direct sum over n1 > n2 >= 1, scaled by (2 - t1)^50 to stay finite
+    ref = math.fsum(
+        0.5 ** n1 * ((2 - t1) / (n1 - t1)) ** 50 * math.fsum(
+            (n2 - t2) ** -20 for n2 in range(1, n1)) / (2 - t1) ** 50
+        for n1 in range(2, 100))
+    assert res.converged and ref > 2.8e-9
+    assert abs(res.value - ref) <= res.error_estimate
+
+
 @pytest.mark.parametrize("s2, t1, t2", (
     (3, F(1), F(1, 2)),  # 13.387498515846966
     (2, F(6, 5), F(3, 5)),  # 14.880920492411709
@@ -223,7 +252,8 @@ def test_eval_geometric_sums_with_shifts_up_to_the_least_index(s, xi, t):
     # the negative base N - 1 - t1 would settle the sum there, falsely, at 0
     p = P(s, xi, t)
     q = float(max(abs(c) for c in p.cumulative_colors()))
-    assert _tail_bound(p, q, math.floor(max(t)) + 1) == math.inf
+    assert _tail_bound(p, [float(v) for v in p.t], q,
+                       math.floor(max(t)) + 1) == math.inf
     res = eval_di(p)
     assert res.converged and res.n_used > max(t) + 1
     direct = nested_sum_oracle(s, xi, t, 300)

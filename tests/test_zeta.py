@@ -73,6 +73,14 @@ def test_params_reject_non_finite_scalars(xi, t):
         PolyzetaParams((2,), xi, t)
 
 
+@pytest.mark.parametrize("zero", (0, F(0), 0.0, -0.0, 0j, complex(-0.0, 0)),
+                         ids=repr)
+def test_params_reject_zero_colors(zero):
+    for make in (P, PolyzetaParams):
+        with pytest.raises(ValueError, match="colors must be nonzero"):
+            make((2, 2), (F(1, 2), zero), (0, 0))
+
+
 def test_condition_e_and_convergence():
     assert P((2,), (1,), (0,)).satisfies_condition_e()
     assert not P((2,), (2,), (0,)).satisfies_condition_e()
