@@ -14,20 +14,27 @@ encodings (``shuffle_expand``) and through the contraction product on
 (s, xi) pairs at a common diagonal shift (``duffle_expand``). Both encode
 their factors as words, multiply them with ``products.star``'s engine and
 decode the terms. Both are formal: only the evaluator refuses divergence.
+Each product word is read back once and kept in the term table ``_TERMS``,
+so a warm expansion decodes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DiagonalError, ShapeError
 from .products import DUFFLE, SHUFFLE, star
 from .scalars import (Color, Real, check_color, color_sort_key, cumulative,
-                      in_range, ratio, real_shift, unit_sign)
+                      in_range, ratio, real_shift, scalar_tag, unit_sign)
 from .words import Combination, PairLetter, Word, X0, XForm
 
 _X0 = X0()
+# Term table, which only grows: an interned encoded word -> its decoded
+# parameters, and (paired word, scalar_tag(t), t) -> its duffle term. Words
+# and the key are typed, so a term keeps its query's types and zero signs.
+_TERMS: dict = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +99,11 @@ class PolyzetaParams:
         return self.depth == 0 or self.s[0] > 1 or unit_sign(self.xi[0]) < 0
 
     def sort_key(self) -> tuple:
+        # n / d is float(Fraction(n, d)), without the method call
         return (self.depth, self.s,
                 tuple(color_sort_key(c) for c in self.xi),
-                tuple(float(v) for v in self.t))
+                tuple(v.numerator / v.denominator if type(v) is Fraction
+                      else float(v) for v in self.t))
 
     def pretty(self) -> str:
         s = ",".join(str(v) for v in self.s)
@@ -153,8 +162,15 @@ def decode(w: Word) -> PolyzetaParams:
     With cumulative colors c_1..c_r and shift differences tb_1..tb_r in
     word order: s_i = 1 + (number of x0 before the i-th form letter since
     the previous one), xi_1 = c_1, xi_i = c_i / c_(i-1), and
-    t_i = tb_i + ... + tb_r.
+    t_i = tb_i + ... + tb_r. Each word is read once; errors are not kept.
     """
+    p = _TERMS.get(w)
+    if p is None:  # racing threads share the first term stored
+        p = _TERMS.setdefault(w, _decode(w))
+    return p
+
+
+def _decode(w: Word) -> PolyzetaParams:
     if len(w) == 0:
         raise ShapeError("cannot decode the empty word")
     if w.kind != "encoded":
@@ -231,6 +247,15 @@ def duffle_expand(p: PolyzetaParams, q: PolyzetaParams) -> LinComb:
         return LinComb.monomial(p)
     product = star(DUFFLE, Word(map(PairLetter, p.s, p.xi)),
                    Word(map(PairLetter, q.s, q.xi)))
-    return LinComb((PolyzetaParams(tuple(l.index for l in w),
-                                   tuple(l.value for l in w), (t,) * len(w)),
-                    c) for w, c in product)
+    tag = scalar_tag(t)
+    return LinComb((_duffle_term(w, tag, t), c) for w, c in product)
+
+
+def _duffle_term(w: Word, tag, t: Real) -> PolyzetaParams:
+    key = w, tag, t
+    p = _TERMS.get(key)
+    if p is None:
+        p = _TERMS.setdefault(key, PolyzetaParams(
+            tuple(l.index for l in w), tuple(l.value for l in w),
+            (t,) * len(w)))
+    return p

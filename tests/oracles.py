@@ -208,6 +208,11 @@ def color_sort_key_reference(value) -> tuple:
     return (2, z.real, z.imag, 0, 1)
 
 
+def params_sort_key_reference(p) -> tuple:
+    return (p.depth, p.s, tuple(color_sort_key_reference(c) for c in p.xi),
+            tuple(float(v) for v in p.t))
+
+
 def float_or_complex_reference(values) -> list:
     zs = [complex(v) for v in values]
     return zs if any(z.imag for z in zs) else [z.real for z in zs]

@@ -5,9 +5,10 @@ import re
 
 import pytest
 
-from polyzeta import cli
+from polyzeta import cli, zeta
 from polyzeta.cli import main
-from polyzeta.serialize import (lincomb_from_json, params_to_json,
+from polyzeta.serialize import (lincomb_from_json, lincomb_to_json,
+                                params_from_json, params_to_json,
                                 polynomial_from_json, word_to_json)
 from polyzeta.words import Polynomial, Word, word, x, y
 from polyzeta.zeta import LinComb, PolyzetaParams
@@ -165,6 +166,29 @@ def test_zeta_expand_duffle_merges_colors_equal_by_value(capsys):
     assert code == 0
     coeffs = {term.s: c for term, c in lincomb_from_json(json.loads(out))}
     assert coeffs == {(2, 2): 2, (4,): 1}
+
+
+@pytest.mark.parametrize("mode", ("shuffle", "duffle"))
+def test_zeta_expand_prints_the_same_cold_and_warm(capsys, monkeypatch, mode):
+    # the first run reads every product word back, the second reads the
+    # term table; both print the direct expansion's JSON
+    left = {"s": [2, 1], "xi": ["1/2", "-2/3"], "t": ["1/3", "1/3"]}
+    right = {"s": [1, 2], "xi": [-0.25, "3/4"], "t": ["1/3", "1/3"]}
+    argv = ("zeta-expand", "--mode", mode, "--left", json.dumps(left),
+            "--right", json.dumps(right))
+    monkeypatch.setattr(zeta, "_TERMS", {})
+    cold = run(capsys, *argv)
+    warm = run(capsys, *argv)
+    expand = zeta.shuffle_expand if mode == "shuffle" else zeta.duffle_expand
+    lc = expand(params_from_json(left), params_from_json(right))
+    direct = json.dumps(lincomb_to_json(lc), ensure_ascii=False) + "\n"
+    assert cold == warm == (0, direct, "")
+
+
+def test_underflowing_ratio_is_refused_on_every_call(capsys):
+    for _ in range(2):
+        assert run(capsys, "decode", "--word", TINY_RATIO) == (
+            2, "", "error: colors must be nonzero\n")
 
 
 def test_eval_command(capsys):

@@ -11,7 +11,8 @@ import pytest
 
 from oracles import (color_is_zero_reference, color_sort_key_reference,
                      condition_e_reference, float_or_complex_reference,
-                     is_convergent_reference, real_shift_reference,
+                     is_convergent_reference, params_sort_key_reference,
+                     real_shift_reference,
                      root_order_reference, shift_in_range_reference,
                      unit_sign_reference)
 from polyzeta.scalars import (check_color, color_sort_key, exact_color,
@@ -156,3 +157,30 @@ def test_condition_e_and_convergence_match_their_references():
         moduli = [abs(c) for c in p.cumulative_colors()]
         assert p.satisfies_condition_e(moduli) == condition_e_reference(p), p
         assert p.is_convergent() == is_convergent_reference(p), p
+
+
+def test_params_sort_key_keeps_its_reference_order():
+    # int, Fraction (and subclass) and float shifts, among them distinct
+    # exact shifts that round to one float and so must still tie
+    rng = random.Random(13)
+    near = [F(1, 3), F(1, 3) + F(1, 10**30), F(1, 3) - F(1, 10**30),
+            F(MAX), F(MAX * 10**9 - 1, 10**9), Sub(MAX * 10**9 - 1, 10**9)]
+    shifts = [v for v in EXACT + FLOATS
+              if outcome(real_shift, v) != ValueError] + near
+    colors = [1, -1, F(1, 2), 0.5, root_of_unity(1, 3)]
+    params = []
+    for _ in range(2000):
+        depth = rng.randint(1, 3)
+        params.append(PolyzetaParams(
+            tuple(rng.randint(1, 2) for _ in range(depth)),
+            tuple(rng.choice(colors) for _ in range(depth)),
+            tuple(rng.choice(shifts) for _ in range(depth))))
+    old_keys = [params_sort_key_reference(p) for p in params]
+    assert [p.sort_key() for p in params] == old_keys
+    order = range(len(params))
+    assert (sorted(order, key=lambda i: params[i].sort_key())
+            == sorted(order, key=old_keys.__getitem__))
+    keys = {PolyzetaParams((2,), (1,), (t,)).sort_key() for t in near[:3]}
+    assert len(set(near[:3])) == 3 and len(keys) == 1
+    keys = {PolyzetaParams((2,), (1,), (t,)).sort_key() for t in near[3:]}
+    assert len(keys) == 1

@@ -211,6 +211,66 @@ def test_decode_keeps_integer_colors_exact(colors, expected):
     assert [type(v) for v in got] == [type(v) for v in expected]
 
 
+def test_decode_reads_each_word_once():
+    w = word(X0(), XForm(F(1, 2), F(1, 5)), XForm(F(-1, 3), 0))
+    assert decode(w) is decode(w)
+
+
+# the same encoded word up to value type and zero sign, each with the
+# parameters it reads back to; all four are equal by value
+TYPED_WORDS = (
+    (word(XForm(2, 0), XForm(4, 0)),
+     "PolyzetaParams(s=(1, 1), xi=(2, 2), t=(0, 0))"),
+    (word(XForm(F(2), F(0)), XForm(F(4), F(0))),
+     "PolyzetaParams(s=(1, 1), xi=(Fraction(2, 1), Fraction(2, 1)), "
+     "t=(Fraction(0, 1), Fraction(0, 1)))"),
+    (word(XForm(2.0, 0.0), XForm(4.0, -0.0)),
+     "PolyzetaParams(s=(1, 1), xi=(2.0, 2.0), t=(0.0, 0.0))"),
+    (word(XForm(2.0, -0.0), XForm(4.0, -0.0)),
+     "PolyzetaParams(s=(1, 1), xi=(2.0, 2.0), t=(0.0, 0.0))"),
+    (word(XForm(2, -0.0), XForm(4.0, 0)),
+     "PolyzetaParams(s=(1, 1), xi=(2, 2.0), t=(0.0, 0))"),
+)
+
+
+def test_decode_keeps_each_words_types_and_signs():
+    # words equal by value are distinct by type, and each reads back with
+    # its own scalars, in either order and on every read
+    for order in (TYPED_WORDS, TYPED_WORDS[::-1], TYPED_WORDS):
+        for w, expected in order:
+            assert repr(decode(w)) == expected
+
+
+ZERO_SHIFTS = (F(0), 0, 0.0, -0.0)
+
+
+def test_duffle_expand_keeps_each_shifts_type_and_sign():
+    # the four shifts are equal by value and hash alike; each query's terms
+    # carry its own shift, whichever was expanded before
+    xi = (F(1, 2), F(-1, 3))
+    for order in (ZERO_SHIFTS, ZERO_SHIFTS[::-1], ZERO_SHIFTS):
+        for t in order:
+            lc = duffle_expand(PolyzetaParams((2, 1), xi, (t, t)),
+                               PolyzetaParams((3,), (F(1, 4),), (t,)))
+            assert sum(lc.terms.values()) == 5
+            assert {repr(v) for term, _ in lc for v in term.t} == {repr(t)}
+
+
+def test_term_errors_are_raised_on_every_call():
+    # an error is never stored: each read of a bad word raises it afresh
+    for bad in (Word(), word(XForm(F(1, 2), 0), X0()), word(X0())):
+        for _ in range(2):
+            with pytest.raises(ShapeError):
+                decode(bad)
+    tiny_ratio = word(XForm(1e300, 0), XForm(1e-300, 0))
+    tiny = P((2,), (1e-200,), (0,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="colors must be nonzero"):
+            decode(tiny_ratio)
+        with pytest.raises(ValueError, match="colors must be nonzero"):
+            duffle_expand(tiny, tiny)
+
+
 def test_shuffle_expand_worked_example():
     xi, xip = F(1, 2), F(-2, 3)
     t, tp = F(1, 5), F(-3, 10)
